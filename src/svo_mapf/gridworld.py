@@ -10,13 +10,12 @@ resolver-assigned collision penalty, and the blocking penalty.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mapgen import Scenario
-from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, distance_field
+from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_dominators, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -39,9 +38,16 @@ class EnvConfig:
     svo_importance: float = DEFAULT_SVO_IMPORTANCE
     overlap_cap: float = DEFAULT_OVERLAP_CAP
     block_threshold: int = 10
-    # Blocking detection runs a masked BFS per agent pair; batch safety fuzzes
-    # that never read rewards can turn it off.
+    # Blocking detection walks a dominator chain per agent pair and searches
+    # for a detour when the chain holds the blocker; batch safety fuzzes that
+    # never read rewards can turn it off.
     blocking_rewards: bool = True
+
+    def __post_init__(self):
+        # A negative threshold would count a cell on only some shortest paths
+        # as blocking: no detour is shorter than the shortest path.
+        if self.block_threshold < 0:
+            raise ValueError(f"block_threshold must be >= 0, got {self.block_threshold}")
 
 
 @dataclass
@@ -142,26 +148,34 @@ class Gridworld:
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
     """Does treating blocker_cell as an obstacle choke start's route to goal?
 
-    Cheap exact prefilter first: removing a cell can only lengthen the
-    distance if the cell lies on at least one shortest path, i.e.
-    d(start, cell) + d(cell, goal) equals the unobstructed distance. Both
-    fields are cached on the map, so most pairs never run the masked BFS.
+    Removing a cell lengthens the shortest distance d0 only if the cell is on
+    every shortest path, i.e. on start's dominator chain toward the goal.
+    Off the chain a path of length d0 <= d0 + threshold survives. On it, a
+    detour search that never enters the blocker and prunes every cell whose
+    depth plus goal distance exceeds d0 + threshold decides: blocked iff it
+    cannot reach the goal.
     """
     if start == goal:
         return False
-    goal_field = distance_field(grid, goal)
-    d0 = int(goal_field[start])
+    dist, idom = _goal_dominators(grid, goal)
+    w = grid.width
+    s = start[0] * w + start[1]
+    b = blocker_cell[0] * w + blocker_cell[1]
+    d0 = dist[s]
     if d0 == UNREACHABLE:
         return False
-    via = int(goal_field[blocker_cell])
+    via = dist[b]
     if via == UNREACHABLE:
         return False
-    start_field = distance_field(grid, start)
-    if int(start_field[blocker_cell]) + via != d0:
+    if b == s:
+        return True
+    cell = s
+    while dist[cell] > via:
+        cell = idom[cell]
+    if cell != b:
         return False
-    limit = d0 + threshold
-    masked = _masked_distance(grid, start, goal, blocker_cell, limit)
-    return masked == UNREACHABLE or masked > limit
+    g = goal[0] * w + goal[1]
+    return _bfs(grid, s, target=g, removed=b, bound=d0 + threshold, h=dist)[g] == UNREACHABLE
 
 
 def detect_blocking(env: Gridworld, agent: int) -> int:
@@ -179,32 +193,6 @@ def detect_blocking(env: Gridworld, agent: int) -> int:
                                         env.goals[j], threshold):
             count += 1
     return count
-
-
-def _masked_distance(grid, start, goal, masked_cell, limit) -> int:
-    """BFS distance start->goal with one extra obstacle; UNREACHABLE beyond limit."""
-    if start == masked_cell:
-        return UNREACHABLE
-    if start == goal:
-        return 0
-    h, w = grid.height, grid.width
-    obstacles = grid.obstacles
-    seen = np.zeros((h, w), dtype=bool)
-    seen[start] = True
-    seen[masked_cell] = True
-    queue = deque([(start, 0)])
-    while queue:
-        (r, c), d = queue.popleft()
-        if d >= limit:
-            return UNREACHABLE
-        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            nr, nc = nxt
-            if 0 <= nr < h and 0 <= nc < w and not obstacles[nr, nc] and not seen[nr, nc]:
-                if nxt == goal:
-                    return d + 1
-                seen[nr, nc] = True
-                queue.append((nxt, d + 1))
-    return UNREACHABLE
 
 
 def observe(env: Gridworld, agent: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from . import social
 from .gridworld import EnvConfig, Gridworld
 from .mapgen import GridMap, Scenario, gen_corridor, gen_maze, gen_random, gen_room
-from .pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, UNREACHABLE, distance_field
+from .pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, UNREACHABLE, _bfs, distance_field
 from .resolver import NORMAL, greedy_intents, resolve
 from .rng import SplitMix64, derive_seed
 
@@ -121,12 +121,16 @@ class HeterogeneousScriptedPolicy:
         refuge = _nearest_refuge(env.grid, pos, path_cells)
         if refuge is None:
             return IDLE
-        dist = distance_field(env.grid, refuge)
-        d = dist[pos]
+        # distances from the refuge, searched only until pos is labelled: by
+        # then every cell one step closer than pos holds its final distance
+        w = env.grid.width
+        here = pos[0] * w + pos[1]
+        dist = _bfs(env.grid, refuge[0] * w + refuge[1], target=here)
+        d = dist[here]
         for action in MOVE_ORDER:
             dr, dc = ACTION_DELTAS[action]
-            nxt = (pos[0] + dr, pos[1] + dc)
-            if env.grid.in_bounds(*nxt) and dist[nxt] == d - 1:
+            nr, nc = pos[0] + dr, pos[1] + dc
+            if env.grid.in_bounds(nr, nc) and dist[nr * w + nc] == d - 1:
                 return action
         return IDLE
 

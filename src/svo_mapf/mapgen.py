@@ -39,8 +39,9 @@ class GridMap:
     """Static occupancy grid. Cells are (row, col); True means obstacle.
 
     Moves off the edge are invalid (no wall ring is stored). Instances are
-    treated as immutable after construction; distance fields computed against
-    a map are cached on the instance (see pathing.distance_field).
+    treated as immutable after construction; the neighbour table, distance
+    fields and dominator arrays computed against a map are cached on the
+    instance (see pathing).
     """
 
     def __init__(self, obstacles: np.ndarray):
@@ -54,7 +55,9 @@ class GridMap:
         self.obstacles.flags.writeable = False
         self.height = h
         self.width = w
+        self._neighbour_table: list | None = None
         self._dfield_cache: dict = {}
+        self._dominator_cache: dict = {}
 
     def in_bounds(self, r: int, c: int) -> bool:
         return 0 <= r < self.height and 0 <= c < self.width
@@ -93,18 +96,8 @@ def read_map(text: str) -> GridMap:
         raise MapParseError("missing header (need type/height/width/map lines)", max(1, len(lines)))
     if lines[0].strip() != "type octile":
         raise MapParseError(f"expected 'type octile', got {lines[0]!r}", 1)
-    try:
-        key, value = lines[1].split()
-        assert key == "height"
-        height = int(value)
-    except (ValueError, AssertionError):
-        raise MapParseError(f"expected 'height H', got {lines[1]!r}", 2) from None
-    try:
-        key, value = lines[2].split()
-        assert key == "width"
-        width = int(value)
-    except (ValueError, AssertionError):
-        raise MapParseError(f"expected 'width W', got {lines[2]!r}", 3) from None
+    height = _header_size(lines[1], "height", "H", 2)
+    width = _header_size(lines[2], "width", "W", 3)
     if lines[3].strip() != "map":
         raise MapParseError(f"expected 'map', got {lines[3]!r}", 4)
     rows = lines[4:]
@@ -121,6 +114,20 @@ def read_map(text: str) -> GridMap:
             elif glyph != FREE_GLYPH:
                 raise MapParseError(f"unknown glyph {glyph!r} at column {j + 1}", line_no)
     return GridMap(grid)
+
+
+def _header_size(line: str, key: str, symbol: str, line_no: int) -> int:
+    """The size on a 'height H' / 'width W' header line; at least 2."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise MapParseError(f"expected '{key} {symbol}', got {line!r}", line_no)
+    try:
+        value = int(parts[1])
+    except ValueError:
+        raise MapParseError(f"expected '{key} {symbol}', got {line!r}", line_no) from None
+    if value < 2:
+        raise MapParseError(f"{key} must be at least 2, got {value}", line_no)
+    return value
 
 
 def write_map(grid: GridMap, path: str | None = None) -> str:

@@ -4,11 +4,14 @@ Shortest paths are realized as greedy descent over an exact BFS distance
 field with the fixed neighbor order Up, Down, Left, Right. For unit edge
 costs this returns the same lengths an open-list search would, but one BFS
 per goal is amortized across every timestep and agent that plans to it.
+Every search runs on one BFS kernel over a flat neighbour table built once
+per map; the goal's BFS also records each cell's immediate dominator, which
+blocking detection walks.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,32 +35,113 @@ class NoPathError(RuntimeError):
     """Raised when a requested path does not exist."""
 
 
-def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
-    """Exact BFS distances (in steps) from every free cell to the goal.
+def _neighbour_table(grid: GridMap) -> list[tuple[int, ...]]:
+    """Free 4-neighbours of every cell by flat index r * width + c, in Up,
+    Down, Left, Right order (obstacles get no entry). Built once per map."""
+    table = grid._neighbour_table
+    if table is None:
+        h, w = grid.height, grid.width
+        free = (~grid.obstacles).ravel().tolist()
+        table = []
+        for i in range(h * w):
+            if not free[i]:
+                table.append(())
+                continue
+            r, c = divmod(i, w)
+            cell = []
+            if r > 0 and free[i - w]:
+                cell.append(i - w)
+            if r < h - 1 and free[i + w]:
+                cell.append(i + w)
+            if c > 0 and free[i - 1]:
+                cell.append(i - 1)
+            if c < w - 1 and free[i + 1]:
+                cell.append(i + 1)
+            table.append(tuple(cell))
+        grid._neighbour_table = table
+    return table
 
-    Unreachable and obstacle cells hold UNREACHABLE. Fields are cached on the
-    map instance, keyed by goal.
+
+def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,
+         bound: int = 0, h=None, idom=None) -> list[int]:
+    """The BFS kernel: step distances from flat cell `source`, UNREACHABLE
+    where the search never labelled a cell.
+
+    The search stops as soon as it labels `target` and never enters
+    `removed`. Given `h` (exact flat distances to some goal), it enters a cell
+    only if its depth plus its h is at most `bound`, so it keeps to the cells
+    of paths to that goal no longer than `bound`. Given `idom` (a flat list
+    with idom[source] == source), it fills in each cell's immediate dominator
+    toward the source: the nearest other cell that every shortest path from
+    the cell to the source passes. A cell's first labeller is its first
+    candidate; each further one-step-closer neighbour is folded in by the
+    two-finger intersection, by distance, of their dominator chains (Cooper,
+    Harvey & Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
     """
-    cached = grid._dfield_cache.get(goal)
+    dist = [UNREACHABLE] * (grid.height * grid.width)
+    dist[source] = 0
+    nbrs = _neighbour_table(grid)
+    queue = [source]
+    for u in queue:
+        d = dist[u] + 1
+        for v in nbrs[u]:
+            dv = dist[v]
+            if dv == UNREACHABLE:
+                if v == removed or (h is not None and d + h[v] > bound):
+                    continue
+                dist[v] = d
+                if idom is not None:
+                    idom[v] = u
+                if v == target:
+                    return dist
+                queue.append(v)
+            elif dv == d and idom is not None:
+                a, b = idom[v], u
+                while a != b:
+                    if dist[a] >= dist[b]:
+                        a = idom[a]
+                    if dist[b] > dist[a]:
+                        b = idom[b]
+                idom[v] = a
+    return dist
+
+
+def _goal_dominators(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array]:
+    """Flat distances to the goal and immediate dominators toward it, from
+    one BFS and cached per goal on the map.
+
+    v, idom[v], idom[idom[v]], ..., goal are exactly the cells on every
+    shortest v -> goal path. Unreachable and obstacle cells hold UNREACHABLE
+    in both arrays.
+    """
+    cached = grid._dominator_cache.get(goal)
     if cached is not None:
         return cached
     if not grid.is_free(*goal):
         raise ValueError(f"goal {goal} is not a free cell")
-    dist = np.full((grid.height, grid.width), UNREACHABLE, dtype=np.int32)
-    dist[goal] = 0
-    queue = deque([goal])
-    obstacles = grid.obstacles
-    h, w = grid.height, grid.width
-    while queue:
-        r, c = queue.popleft()
-        d = dist[r, c] + 1
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and not obstacles[nr, nc] and dist[nr, nc] < 0:
-                dist[nr, nc] = d
-                queue.append((nr, nc))
-    dist.flags.writeable = False
-    grid._dfield_cache[goal] = dist
-    return dist
+    g = goal[0] * grid.width + goal[1]
+    idom = [UNREACHABLE] * (grid.height * grid.width)
+    idom[g] = g
+    dist = _bfs(grid, g, idom=idom)
+    cached = grid._dominator_cache[goal] = (array("i", dist), array("i", idom))
+    return cached
+
+
+def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
+    """Exact BFS distances (in steps) from every free cell to the goal.
+
+    Unreachable and obstacle cells hold UNREACHABLE. Fields are cached on the
+    map instance, keyed by goal; each is a read-only view of the goal's flat
+    distance array.
+    """
+    cached = grid._dfield_cache.get(goal)
+    if cached is not None:
+        return cached
+    dist, _ = _goal_dominators(grid, goal)
+    field = np.frombuffer(dist, dtype=np.int32).reshape(grid.height, grid.width)
+    field.flags.writeable = False
+    grid._dfield_cache[goal] = field
+    return field
 
 
 @dataclass

@@ -1,0 +1,235 @@
+"""Blocking detection against the masked-BFS predicate it replaced.
+
+`reference_blocks_agent` and `_masked_distance` are the previous
+implementation, copied verbatim (only the first is renamed) as the oracle: a
+blocker counts when masking its cell makes the goal unreachable or lengthens
+the start's shortest path by more than the threshold. The dominator chains behind the fast predicate are
+checked against brute-force enumeration of every shortest path.
+"""
+
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svo_mapf import mapgen, pathing
+from svo_mapf.gridworld import _blocks_agent
+from svo_mapf.pathing import UNREACHABLE, distance_field
+
+THRESHOLDS = (0, 1, 3, 10, 30)
+FUZZ = settings(deadline=None, derandomize=True, max_examples=300)
+
+
+def reference_blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
+    """Does treating blocker_cell as an obstacle choke start's route to goal?
+
+    Cheap exact prefilter first: removing a cell can only lengthen the
+    distance if the cell lies on at least one shortest path, i.e.
+    d(start, cell) + d(cell, goal) equals the unobstructed distance. Both
+    fields are cached on the map, so most pairs never run the masked BFS.
+    """
+    if start == goal:
+        return False
+    goal_field = distance_field(grid, goal)
+    d0 = int(goal_field[start])
+    if d0 == UNREACHABLE:
+        return False
+    via = int(goal_field[blocker_cell])
+    if via == UNREACHABLE:
+        return False
+    start_field = distance_field(grid, start)
+    if int(start_field[blocker_cell]) + via != d0:
+        return False
+    limit = d0 + threshold
+    masked = _masked_distance(grid, start, goal, blocker_cell, limit)
+    return masked == UNREACHABLE or masked > limit
+
+
+def _masked_distance(grid, start, goal, masked_cell, limit) -> int:
+    """BFS distance start->goal with one extra obstacle; UNREACHABLE beyond limit."""
+    if start == masked_cell:
+        return UNREACHABLE
+    if start == goal:
+        return 0
+    h, w = grid.height, grid.width
+    obstacles = grid.obstacles
+    seen = np.zeros((h, w), dtype=bool)
+    seen[start] = True
+    seen[masked_cell] = True
+    queue = deque([(start, 0)])
+    while queue:
+        (r, c), d = queue.popleft()
+        if d >= limit:
+            return UNREACHABLE
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            nr, nc = nxt
+            if 0 <= nr < h and 0 <= nc < w and not obstacles[nr, nc] and not seen[nr, nc]:
+                if nxt == goal:
+                    return d + 1
+                seen[nr, nc] = True
+                queue.append((nxt, d + 1))
+    return UNREACHABLE
+
+
+def boundary_thresholds(grid, blocker, start, goal) -> set[int]:
+    """Each pair's exact detour boundary: the masked detour length over the
+    shortest distance, and one less (when non-negative)."""
+    d0 = int(distance_field(grid, goal)[start])
+    if start == goal or d0 == UNREACHABLE:
+        return set()
+    masked = _masked_distance(grid, start, goal, blocker, grid.height * grid.width)
+    if masked == UNREACHABLE:
+        return set()
+    return {t for t in (masked - d0, masked - d0 - 1) if t >= 0}
+
+
+@st.composite
+def maps(draw, max_side=14):
+    family = draw(st.sampled_from(["raw", "random", "room", "maze", "corridor"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "raw":
+        h = draw(st.integers(2, 7))
+        w = draw(st.integers(2, 7))
+        cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+        obstacles = np.array(cells, dtype=bool).reshape(h, w)
+        if obstacles.all():
+            obstacles[0, 0] = False
+        return mapgen.GridMap(obstacles)
+    if family == "random":
+        side = draw(st.integers(4, max_side))
+        return mapgen.gen_random(side, side, draw(st.sampled_from([0.0, 0.15, 0.3])), 1, seed).grid
+    if family == "room":
+        return mapgen.gen_room(draw(st.integers(8, max_side)), draw(st.integers(8, max_side)), 1, seed).grid
+    if family == "maze":
+        return mapgen.gen_maze(draw(st.integers(3, max_side)), draw(st.integers(3, max_side)), 1, seed).grid
+    kind = draw(st.sampled_from(["recess", "i_shape"]))
+    return mapgen.gen_corridor(kind, draw(st.integers(3, 12)), seed).grid
+
+
+@given(data=st.data())
+@FUZZ
+def test_fast_predicate_matches_masked_bfs(data):
+    grid = data.draw(maps())
+    free = grid.free_cells()
+    cell = st.sampled_from(free)
+    for _ in range(8):
+        start, goal, blocker = data.draw(cell), data.draw(cell), data.draw(cell)
+        for b in (blocker, start, goal):
+            thresholds = set(THRESHOLDS) | boundary_thresholds(grid, b, start, goal)
+            for t in sorted(thresholds):
+                want = reference_blocks_agent(grid, b, start, goal, t)
+                assert _blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
+
+
+@pytest.mark.parametrize("family", ["random", "room", "maze", "corridor"])
+def test_every_pair_on_one_map_per_family(family):
+    # exhaustive over (blocker, start) for a few goals: every boundary case
+    # that one map of each family can produce
+    if family == "random":
+        grid = mapgen.gen_random(9, 9, 0.25, 1, seed=11).grid
+    elif family == "room":
+        grid = mapgen.gen_room(10, 10, 1, seed=3).grid
+    elif family == "maze":
+        grid = mapgen.gen_maze(9, 9, 1, seed=5).grid
+    else:
+        grid = mapgen.gen_corridor("recess", 8, seed=2).grid
+    free = grid.free_cells()
+    blocked = 0
+    for goal in free[::max(1, len(free) // 4)]:
+        for start in free:
+            for b in free:
+                for t in (0, 2):
+                    want = reference_blocks_agent(grid, b, start, goal, t)
+                    assert _blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
+                    blocked += want
+    assert blocked > 0
+
+
+def _bfs_distances(grid, source):
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        r, c = queue.popleft()
+        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if grid.is_free(*nxt) and nxt not in dist:
+                dist[nxt] = dist[(r, c)] + 1
+                queue.append(nxt)
+    return dist
+
+
+def _shortest_paths(start, goal, to_goal):
+    """Every shortest start -> goal path, enumerated one by one."""
+    if start == goal:
+        yield [start]
+        return
+    r, c = start
+    for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+        if to_goal.get(nxt) == to_goal[start] - 1:
+            for rest in _shortest_paths(nxt, goal, to_goal):
+                yield [start] + rest
+
+
+def dominator_chain(grid, start, goal):
+    dist, idom = pathing._goal_dominators(grid, goal)
+    w = grid.width
+    cell = start[0] * w + start[1]
+    chain = [cell]
+    while cell != idom[cell]:
+        assert dist[idom[cell]] < dist[cell]
+        cell = idom[cell]
+        chain.append(cell)
+    return {divmod(i, w) for i in chain}
+
+
+@given(data=st.data())
+@FUZZ
+def test_dominator_chain_is_the_set_of_cells_on_every_shortest_path(data):
+    grid = data.draw(maps(max_side=8))
+    free = grid.free_cells()
+    goal = data.draw(st.sampled_from(free))
+    to_goal = _bfs_distances(grid, goal)
+    dist, idom = pathing._goal_dominators(grid, goal)
+    for start in free:
+        flat = start[0] * grid.width + start[1]
+        if start not in to_goal:
+            assert dist[flat] == UNREACHABLE and idom[flat] == UNREACHABLE
+            continue
+        assert dist[flat] == to_goal[start]
+        on_every = None
+        for path in _shortest_paths(start, goal, to_goal):
+            on_every = set(path) if on_every is None else on_every & set(path)
+        assert dominator_chain(grid, start, goal) == on_every, (start, goal)
+
+
+def test_dominator_chain_through_a_doorway():
+    # two 3x3 rooms joined by a one-cell door at (1, 3)
+    obst = np.zeros((3, 7), dtype=bool)
+    obst[:, 3] = True
+    obst[1, 3] = False
+    grid = mapgen.GridMap(obst)
+    assert dominator_chain(grid, (0, 0), (2, 6)) == {(0, 0), (1, 2), (1, 3), (1, 4), (2, 6)}
+    assert dominator_chain(grid, (1, 1), (1, 5)) == {(1, 1), (1, 2), (1, 3), (1, 4), (1, 5)}
+
+
+def test_detour_boundary_is_exact():
+    # a 1-cell blocker mid-row with a loop around it: the detour is 2 steps
+    obst = np.zeros((2, 5), dtype=bool)
+    grid = mapgen.GridMap(obst)
+    start, goal, blocker = (0, 0), (0, 4), (0, 2)
+    assert reference_blocks_agent(grid, blocker, start, goal, 1)
+    assert _blocks_agent(grid, blocker, start, goal, 1)
+    assert not _blocks_agent(grid, blocker, start, goal, 2)
+    assert not _blocks_agent(grid, (1, 2), start, goal, 0)  # on no shortest path
+
+
+def test_negative_threshold_would_split_the_predicates():
+    # with threshold < 0 the masked-BFS predicate flags a cell that lies on
+    # only some shortest paths, which no dominator chain holds; EnvConfig
+    # therefore refuses negative thresholds (see test_gridworld)
+    grid = mapgen.GridMap(np.zeros((2, 3), dtype=bool))
+    assert reference_blocks_agent(grid, (0, 1), (0, 0), (1, 2), -1)
+    assert not reference_blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
+    assert not _blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
+    assert (0, 1) not in dominator_chain(grid, (0, 0), (1, 2))

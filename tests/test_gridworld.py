@@ -3,6 +3,7 @@ import pytest
 
 from svo_mapf import gridworld, harness, mapgen
 from svo_mapf.gridworld import ConditionViolation, EnvConfig, Gridworld, detect_blocking, observe, obs_length
+from svo_mapf.learner import TrainConfig
 from svo_mapf.pathing import IDLE, LEFT, RIGHT, UP
 from svo_mapf.rng import derive_seed
 
@@ -119,6 +120,16 @@ class TestBlocking:
         assert detect_blocking(env, 0) == 1  # detour ~20 extra steps
         env_loose = Gridworld(scn, EnvConfig(block_threshold=30))
         assert detect_blocking(env_loose, 0) == 0
+
+    def test_negative_threshold_rejected(self):
+        # a threshold below zero is shorter than every detour, so it would
+        # count cells on only some shortest paths; a training config file
+        # carrying one is refused as well
+        with pytest.raises(ValueError, match="block_threshold"):
+            EnvConfig(block_threshold=-1)
+        with pytest.raises(ValueError, match="block_threshold"):
+            TrainConfig.from_json('{"env": {"block_threshold": -3}}')
+        assert EnvConfig(block_threshold=0).block_threshold == 0
 
 
 class TestObserve:

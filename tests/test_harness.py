@@ -5,8 +5,9 @@ import pytest
 import scipy.stats
 
 from svo_mapf import harness, mapgen, social
-from svo_mapf.gridworld import EnvConfig
+from svo_mapf.gridworld import EnvConfig, Gridworld
 from svo_mapf.harness import DegenerateInputError
+from svo_mapf.pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, astar_path, distance_field
 from svo_mapf.rng import SplitMix64
 
 
@@ -130,9 +131,47 @@ class TestScriptedPolicies:
         visited = set(result.paths[0]) | set(result.paths[1])
         assert visited & recess_cells  # somebody actually stepped aside
 
+    def test_retreat_step_descends_toward_the_refuge(self):
+        # the first move toward the refuge, with Up/Down/Left/Right tie-break,
+        # as read off the refuge's full distance field on a separate map copy
+        scn = mapgen.gen_room(16, 16, 2, seed=7)
+        copy = mapgen.GridMap(scn.grid.obstacles.copy())
+        free = scn.grid.free_cells()
+        checked = 0
+        targets = set()
+        for pos in free[::5]:
+            env = Gridworld(mapgen.Scenario(scn.grid, [pos], [pos], seed=0),
+                            EnvConfig(blocking_rewards=False))
+            targets.add(free[-1 - checked % 7])
+            flow = astar_path(scn.grid, pos, free[-1 - checked % 7])
+            path_cells = set(flow.vertices)
+            refuge = harness._nearest_refuge(scn.grid, pos, path_cells)
+            want = IDLE
+            if refuge is not None and pos in path_cells:
+                dist = distance_field(copy, refuge)
+                for action in MOVE_ORDER:
+                    dr, dc = ACTION_DELTAS[action]
+                    nxt = (pos[0] + dr, pos[1] + dc)
+                    if copy.in_bounds(*nxt) and dist[nxt] == dist[pos] - 1:
+                        want = action
+                        break
+                checked += 1
+            assert harness.HeterogeneousScriptedPolicy._retreat_step(env, 0, flow) == want
+        assert checked > 10
+        assert set(scn.grid._dfield_cache) == targets  # no refuge field was cached
+
+    def test_distance_fields_cached_only_for_goals(self):
+        # a blocking-on hetero episode on a 32x32 room map caches one field
+        # per goal at most: no field per visited start cell or per refuge
+        scn = mapgen.gen_room(32, 32, 16, seed=3)
+        result = harness.run_episode(scn, harness.HeterogeneousScriptedPolicy(),
+                                     EnvConfig(max_episode_length=32))
+        assert any(45.0 in step for step in result.metrics.svo_trace)  # somebody retreated
+        assert set(scn.grid._dfield_cache) <= set(scn.goals)
+        assert set(scn.grid._dominator_cache) <= set(scn.goals)
+
     def test_scripted_policy_step_function(self):
         scn = mapgen.gen_corridor("i_shape", 4, seed=1)
-        from svo_mapf.gridworld import Gridworld
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
         intents_homo, svo_homo = harness.scripted_policy_step(env, "homo")
         assert not svo_homo.any()

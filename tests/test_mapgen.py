@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import deque
 
 import numpy as np
@@ -198,6 +201,40 @@ class TestMapIO:
         assert err.value.line == 1
         with pytest.raises(MapParseError):
             mapgen.read_map("type octile\nheight x\nwidth 2\nmap\n..\n..\n")
+
+    @pytest.mark.parametrize("header, line, message", [
+        ("height 1\nwidth 2", 2, "height must be at least 2, got 1"),
+        ("height -1\nwidth 2", 2, "height must be at least 2, got -1"),
+        ("height 2\nwidth 1", 3, "width must be at least 2, got 1"),
+        ("height 2\nwidth 0", 3, "width must be at least 2, got 0"),
+        ("heigth 2\nwidth 2", 2, "expected 'height H'"),
+        ("height 2 2\nwidth 2", 2, "expected 'height H'"),
+        ("height 2\nwide 2", 3, "expected 'width W'"),
+        ("height 2\nwidth", 3, "expected 'width W'"),
+    ])
+    def test_bad_size_header_names_its_line(self, header, line, message):
+        with pytest.raises(MapParseError, match=message) as err:
+            mapgen.read_map(f"type octile\n{header}\nmap\n..\n..\n")
+        assert err.value.line == line
+
+    def test_header_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the header checks must not be asserts
+        code = (
+            "from svo_mapf.mapgen import read_map, MapParseError\n"
+            "for text, line in (('type octile\\nheigth 2\\nwidth 2\\nmap\\n..\\n..\\n', 2),\n"
+            "                   ('type octile\\nheight 2\\nwidht 2\\nmap\\n..\\n..\\n', 3)):\n"
+            "    try:\n"
+            "        read_map(text)\n"
+            "    except MapParseError as err:\n"
+            "        assert err.line == line\n"
+            "    else:\n"
+            "        raise SystemExit(f'accepted a bad header at line {line}')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestDeterminism:
