@@ -287,7 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError) as exc:
+        # bad input (malformed files, out-of-range settings, missing paths):
+        # one line and argparse's usage-error code instead of a traceback
+        print(f"svo-mapf: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

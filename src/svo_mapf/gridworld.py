@@ -85,8 +85,8 @@ class Gridworld:
         self.success = False
         k = self.config.svo_bins
         self.partners = np.arange(self.n, dtype=np.int64)
-        self.svo_current = np.full((self.n, k), 1.0 / k)
-        self.svo_prev = np.full((self.n, k), 1.0 / k)
+        # standing SVO choice per agent over the bins; uniform before the first
+        self.svo = np.full((self.n, k), 1.0 / k)
 
     def on_goal(self) -> np.ndarray:
         return np.array([self.positions[i] == self.goals[i] for i in range(self.n)])
@@ -94,8 +94,9 @@ class Gridworld:
     def arrival_rate(self) -> float:
         return float(self.on_goal().sum()) / self.n
 
-    def goal_field(self, i: int) -> np.ndarray:
-        return distance_field(self.grid, self.goals[i])
+    def choose_svo(self, bins: np.ndarray) -> None:
+        """Record every agent's chosen SVO bin as its one-hot standing SVO."""
+        self.svo = np.eye(self.config.svo_bins)[bins]
 
     def step(self, joint_action: np.ndarray, collision_penalties: np.ndarray | None = None) -> StepOutcome:
         if self.terminated:
@@ -201,8 +202,8 @@ def observe(env: Gridworld, agent: int) -> np.ndarray:
     FoV-centered occupancy, other-agent, and goal-descent planes (the descent
     plane marks cells inside the heuristic window that are strictly closer to
     the goal than the agent), a 4-slot goal vector (unit direction, clamped
-    Euclidean magnitude, clamped BFS distance), the agent's previous SVO
-    encoding, its partner's current SVO encoding, and the partner offset
+    Euclidean magnitude, clamped BFS distance), the standing SVO of the agent
+    and of its partner (each one's last chosen bin), and the partner offset
     clamped to the FoV. Out-of-map cells read as obstacles.
     """
     cfg = env.config
@@ -214,7 +215,7 @@ def observe(env: Gridworld, agent: int) -> np.ndarray:
     heuristic = np.zeros((fov, fov))
 
     occupied = {pos: i for i, pos in enumerate(env.positions)}
-    dist = env.goal_field(agent)
+    dist = distance_field(env.grid, env.goals[agent])
     d0 = int(dist[r0, c0])
     h_half = cfg.fov_heuristic // 2
     for dr in range(-half, half + 1):
@@ -248,5 +249,5 @@ def observe(env: Gridworld, agent: int) -> np.ndarray:
            max(-half, min(half, pc - c0)) / max(1, half)]
     return np.concatenate([
         occupancy.ravel(), others.ravel(), heuristic.ravel(),
-        np.array(goal_vec), env.svo_prev[agent], env.svo_current[partner], np.array(off),
+        np.array(goal_vec), env.svo[agent], env.svo[partner], np.array(off),
     ])

@@ -1,12 +1,12 @@
 """Benchmark orchestration, scripted case-study policies, and statistics.
 
-Episodes are driven through the shared pipeline (overlap, partner update,
-policy intents, tie-breaking resolution, environment step). Scripted policies
-exercise the symmetric corridor dilemma without any training: the homogeneous
-mode keeps every agent selfishly greedy, while the heterogeneous mode makes
-the lower-indexed member of each conflicted partner pair fully prosocial, and
-that agent withdraws to the nearest cell off its partner's planned path until
-the conflict clears.
+Evaluation episodes and training rollouts share one step loop,
+`episode_steps` (overlap, fixed-partner update, policy intents, tie-breaking
+resolution, environment step). Scripted policies exercise the symmetric
+corridor dilemma without any training: the homogeneous mode keeps every agent
+selfishly greedy, while the heterogeneous mode makes the lower-indexed member
+of each conflicted partner pair fully prosocial, and that agent withdraws to
+the nearest cell off its partner's planned path until the conflict clears.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import social
-from .gridworld import EnvConfig, Gridworld
-from .mapgen import GridMap, Scenario, gen_corridor, gen_maze, gen_random, gen_room
+from .gridworld import EnvConfig, Gridworld, StepOutcome
+from .mapgen import GridMap, Scenario, gen_maze, gen_random, gen_room, sample_corridor
 from .pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, UNREACHABLE, _bfs, distance_field
-from .resolver import NORMAL, greedy_intents, resolve
-from .rng import SplitMix64, derive_seed
+from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
+from .rng import derive_seed
 
 
 @dataclass
@@ -158,26 +158,6 @@ def _nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
     return best
 
 
-class TrainedPolicyAdapter:
-    """Drives episodes with a trained checkpoint (deterministic argmax)."""
-
-    needs_social = True
-
-    def __init__(self, trained):
-        self.trained = trained
-
-    def step(self, env: Gridworld, overlap):
-        return self.trained.step(env, overlap)
-
-    def env_config(self, base: EnvConfig) -> EnvConfig:
-        # observation geometry must match the checkpoint; episode limits and
-        # reward toggles stay with the caller
-        cfg = replace(self.trained.env_cfg)
-        cfg.max_episode_length = base.max_episode_length
-        cfg.blocking_rewards = base.blocking_rewards
-        return cfg
-
-
 def effective_env_cfg(policy, env_cfg: EnvConfig | None) -> EnvConfig:
     env_cfg = env_cfg or EnvConfig()
     if hasattr(policy, "env_config"):
@@ -186,25 +166,50 @@ def effective_env_cfg(policy, env_cfg: EnvConfig | None) -> EnvConfig:
 
 
 def make_policy(name: str, env_cfg: EnvConfig):
-    if name in ("greedy", "homo", "homogeneous", "scripted-homo"):
+    if name in ("greedy", "homo"):
         return GreedyPolicy()
-    if name in ("hetero", "heterogeneous", "scripted", "scripted-hetero"):
+    if name in ("hetero", "scripted"):
         return HeterogeneousScriptedPolicy()
     if name.startswith("trained:"):
         from .learner import TrainedPolicy
 
-        return TrainedPolicyAdapter(TrainedPolicy.from_checkpoint(name.split(":", 1)[1]))
-    raise ValueError(f"unknown policy {name!r}")
+        return TrainedPolicy.from_checkpoint(name.split(":", 1)[1])
+    raise ValueError(f"unknown policy {name!r}; expected greedy, homo, hetero, scripted "
+                     "or trained:PATH")
 
 
-def scripted_policy_step(env: Gridworld, mode: str, overlap=None):
-    """One scripted decision: intended actions and SVO angles for all agents."""
-    policy = make_policy(mode, env.config)
-    if policy.needs_social and overlap is None:
-        overlap = social.compute_overlap(env.grid, env.positions, env.goals,
-                                         env.config.overlap_decay)
-        env.partners = overlap.partners.copy()
-    return policy.step(env, overlap)
+@dataclass
+class EpisodeStep:
+    """What one pass of the step loop saw and did."""
+
+    overlap: social.OverlapResult | None   # None when nothing asked for it
+    partners: np.ndarray                   # fixed partners this step's policy read
+    svo_deg: np.ndarray
+    resolution: ResolutionOutcome
+    outcome: StepOutcome
+
+
+def episode_steps(env: Gridworld, policy, trace_social: bool = False):
+    """Drive env to termination, yielding one EpisodeStep per joint step.
+
+    Each step computes the overlap (only when the policy or trace_social needs
+    it) and updates the fixed partners, asks policy.step(env, overlap) for
+    intents and SVO angles, resolves them and steps the environment.
+    """
+    fixed = env.partners
+    while not env.terminated:
+        overlap = None
+        if policy.needs_social or trace_social:
+            overlap = social.compute_overlap(env.grid, env.positions, env.goals,
+                                             env.config.overlap_decay)
+            if env.t == 0:
+                fixed = overlap.partners.copy()
+            else:
+                fixed = social.update_fixed_partners(overlap.partners, overlap.matrix, fixed)
+            env.partners = fixed
+        intents, svo_deg = policy.step(env, overlap)
+        res = resolve(env.grid, env.positions, intents, svo_deg)
+        yield EpisodeStep(overlap, fixed, svo_deg, res, env.step(res.actions, res.penalties))
 
 
 def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
@@ -219,22 +224,10 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
     collisions_prevented = 0
     svo_trace: list[list[float]] = []
     total_external = 0.0
-    fixed = np.arange(env.n, dtype=np.int64)
-    while not env.terminated:
-        overlap = None
-        if policy.needs_social or trace_social:
-            overlap = social.compute_overlap(env.grid, env.positions, env.goals,
-                                             env.config.overlap_decay)
-            if env.t == 0:
-                fixed = overlap.partners.copy()
-            else:
-                fixed = social.update_fixed_partners(overlap.partners, overlap.matrix, fixed)
-            env.partners = fixed
-        intents, svo_deg = policy.step(env, overlap)
-        res = resolve(env.grid, env.positions, intents, svo_deg)
-        out = env.step(res.actions, res.penalties)
+    for step in episode_steps(env, policy, trace_social):
+        res, out = step.resolution, step.outcome
         collisions_prevented += sum(1 for a in res.annotations if a != NORMAL)
-        svo_trace.append([float(z) for z in svo_deg])
+        svo_trace.append([float(z) for z in step.svo_deg])
         total_external += float(out.rewards.sum())
         for i in range(env.n):
             paths[i].append(env.positions[i])
@@ -243,14 +236,14 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
                 "t": env.t,
                 "positions": [list(p) for p in env.positions],
                 "actions": [int(a) for a in res.actions],
-                "svos": [float(z) for z in svo_deg],
+                "svos": [float(z) for z in step.svo_deg],
                 "rewards": [round(float(r), 10) for r in out.rewards],
             }
-            if trace_social and overlap is not None:
+            if trace_social:
                 record["overlap"] = [[round(float(x), 10) for x in row]
-                                     for row in overlap.matrix]
-                record["temporary_partners"] = [int(p) for p in overlap.partners]
-                record["fixed_partners"] = [int(p) for p in fixed]
+                                     for row in step.overlap.matrix]
+                record["temporary_partners"] = [int(p) for p in step.overlap.partners]
+                record["fixed_partners"] = [int(p) for p in step.partners]
             trace_writer(record)
     on_goal = env.on_goal()
     metrics = EpisodeMetrics(
@@ -471,10 +464,7 @@ def corridor_case_study(p_recess: float, p_ishape: float, episodes: int, policy_
     per_episode = []
     per_kind: dict = {"recess": [], "i_shape": []}
     for ep in range(episodes):
-        rng = SplitMix64(derive_seed(seed, ep))
-        kind = "recess" if rng.random() < p_recess else "i_shape"
-        length = rng.randint(*corridor_lengths)
-        scenario = gen_corridor(kind, length, rng.next_u64())
+        scenario, kind = sample_corridor(p_recess, corridor_lengths, seed, ep)
         result = run_episode(scenario, policy, env_cfg)
         per_episode.append(result.metrics.goals_reached)
         per_kind[kind].append(result.metrics.goals_reached)

@@ -16,15 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, observe, obs_length
-from .mapgen import gen_corridor
+from .harness import episode_steps
+from .mapgen import sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
-from .resolver import resolve
 from .rng import SplitMix64, derive_seed
 
 _EPS = 1e-12
@@ -353,156 +353,118 @@ class CorridorCurriculum:
     _count: int = field(default=0, repr=False)
 
     def sample(self):
-        rng = SplitMix64(derive_seed(self.seed, self._count))
         self._count += 1
-        kind = "recess" if rng.random() < self.p_recess else "i_shape"
-        length = rng.randint(*self.corridor_lengths)
-        return gen_corridor(kind, length, rng.next_u64()), kind
+        return sample_corridor(self.p_recess, self.corridor_lengths, self.seed, self._count - 1)
+
+
+class SamplingPolicy:
+    """Rollout controller: one forward pass per step, then every agent's SVO
+    bin and then every agent's action sampled from it. The step's tensors
+    stay on the object for the rollout to record."""
+
+    needs_social = True
+
+    def __init__(self, params: dict, svo_bins: int, rng: SplitMix64):
+        self.params = params
+        self.rng = rng
+        self.angles = social.svo_bin_angles(svo_bins)
+
+    def step(self, env: Gridworld, overlap: social.OverlapResult) -> tuple[np.ndarray, np.ndarray]:
+        n = env.n
+        self.obs = np.stack([observe(env, i) for i in range(n)])
+        self.out = forward(self.params, self.obs)
+        self.lp_act = log_softmax(self.out["logits_act"])
+        self.lp_svo = log_softmax(self.out["logits_svo"])
+        p_act = np.exp(self.lp_act)
+        self.p_svo = np.exp(self.lp_svo)
+        self.svo_bins = np.array([_sample_categorical(self.rng, self.p_svo[i]) for i in range(n)],
+                                 dtype=np.int64)
+        self.actions = np.array([_sample_categorical(self.rng, p_act[i]) for i in range(n)],
+                                dtype=np.int64)
+        self.valid_mask = np.stack([static_valid_mask(env.grid, env.positions[i]) for i in range(n)])
+        env.choose_svo(self.svo_bins)
+        return self.actions, self.angles[self.svo_bins]
 
 
 def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, sampler,
                     min_steps: int, rng: SplitMix64) -> tuple[RolloutBatch, dict]:
     """Whole episodes until at least min_steps env steps are gathered.
 
-    Per timestep: overlap + partner update, observe, sample an SVO bin and an
-    action per agent from the shared forward pass, resolve, step, then
-    redistribute rewards and record the stability target. Advantages use one
-    GAE pass per (episode, agent) per reward stream; solved episodes bootstrap
-    with 0 and step-cap truncations bootstrap from the critic.
+    A SamplingPolicy drives each episode through harness.episode_steps; after
+    every step the rollout redistributes each agent's reward and records its
+    stability target. Advantages use one GAE pass per (episode, agent) per
+    reward stream; solved episodes bootstrap with 0 and step-cap truncations
+    bootstrap from the critic.
     """
-    angles = social.svo_bin_angles(env_cfg.svo_bins)
-    flat: dict[str, list] = {k: [] for k in (
-        "obs", "actions", "svo_bins", "logp_act_old", "logp_svo_old",
-        "valid_mask", "blocking_label", "z_exp", "alpha",
-        "reward_action", "reward_svo", "reward_external",
-        "adv_action", "adv_svo", "ret_action", "ret_svo",
-    )}
+    policy = SamplingPolicy(params, env_cfg.svo_bins, rng)
+    episodes: list[dict] = []
     stats = {"episodes": 0, "env_steps": 0, "external_reward": 0.0, "goals": 0.0, "length": 0.0}
 
-    steps_done = 0
-    while steps_done < min_steps:
+    while stats["env_steps"] < min_steps:
         scenario, _ = sampler.sample()
         env = Gridworld(scenario, env_cfg)
         n = env.n
-        z_prev_dist = np.full((n, env_cfg.svo_bins), 1.0 / env_cfg.svo_bins)
-        ep: dict[str, list] = {k: [] for k in flat}   # step-major episode buffer
-        ep_ra = [[] for _ in range(n)]
-        ep_rs = [[] for _ in range(n)]
-        ep_va = [[] for _ in range(n)]
-        ep_vs = [[] for _ in range(n)]
+        z_prev = np.full((n, env_cfg.svo_bins), 1.0 / env_cfg.svo_bins)
+        ep: list[dict] = []   # one record per step, each holding per-agent values
         ep_external = 0.0
-        fixed = np.arange(n, dtype=np.int64)
-        while not env.terminated:
-            ov = social.compute_overlap(env.grid, env.positions, env.goals, env_cfg.overlap_decay)
-            if env.t == 0:
-                fixed = ov.partners.copy()
-            else:
-                fixed = social.update_fixed_partners(ov.partners, ov.matrix, fixed)
-            env.partners = fixed
-            obs = np.stack([observe(env, i) for i in range(n)])
-            out = forward(params, obs)
-            lp_act = log_softmax(out["logits_act"])
-            lp_svo = log_softmax(out["logits_svo"])
-            p_act = np.exp(lp_act)
-            p_svo = np.exp(lp_svo)
-            svo_bins = np.array([_sample_categorical(rng, p_svo[i]) for i in range(n)])
-            actions = np.array([_sample_categorical(rng, p_act[i]) for i in range(n)])
-            svo_deg = angles[svo_bins]
-
-            valid_masks = [static_valid_mask(env.grid, env.positions[i]) for i in range(n)]
-            res = resolve(env.grid, env.positions, actions, svo_deg)
-            step = env.step(res.actions, res.penalties)
-            ep_external += float(step.rewards.sum())
-
+        for step in episode_steps(env, policy):
+            rewards = step.outcome.rewards
+            ep_external += float(rewards.sum())
+            split, alpha, z_exp = [], [], []
             for i in range(n):
-                p = int(fixed[i])
-                r_s, r_a = social.redistribute_rewards(
-                    step.rewards[i], step.rewards[p], float(svo_deg[i]), env_cfg.svo_importance)
-                alpha, z_exp = social.stability_target(
-                    p_svo[i], z_prev_dist[i], ov.matrix[i, p], env_cfg.overlap_cap)
-                ep["obs"].append(obs[i])
-                ep["actions"].append(int(actions[i]))
-                ep["svo_bins"].append(int(svo_bins[i]))
-                ep["logp_act_old"].append(float(lp_act[i, actions[i]]))
-                ep["logp_svo_old"].append(float(lp_svo[i, svo_bins[i]]))
-                ep["valid_mask"].append(valid_masks[i])
-                ep["blocking_label"].append(float(step.blocked_counts[i] > 0))
-                ep["z_exp"].append(z_exp)
-                ep["alpha"].append(alpha)
-                ep["reward_action"].append(r_a)
-                ep["reward_svo"].append(r_s)
-                ep["reward_external"].append(float(step.rewards[i]))
-                ep_ra[i].append(r_a)
-                ep_rs[i].append(r_s)
-                ep_va[i].append(float(out["value_act"][i]))
-                ep_vs[i].append(float(out["value_svo"][i]))
+                p = int(step.partners[i])
+                split.append(social.redistribute_rewards(
+                    rewards[i], rewards[p], float(step.svo_deg[i]), env_cfg.svo_importance))
+                a, z = social.stability_target(
+                    policy.p_svo[i], z_prev[i], step.overlap.matrix[i, p], env_cfg.overlap_cap)
+                alpha.append(a)
+                z_exp.append(z)
+            ep.append({
+                "obs": policy.obs, "actions": policy.actions, "svo_bins": policy.svo_bins,
+                "lp_act": policy.lp_act, "lp_svo": policy.lp_svo, "valid_mask": policy.valid_mask,
+                "blocked": step.outcome.blocked_counts, "z_exp": z_exp, "alpha": alpha,
+                "split": split, "reward_external": rewards,
+                "value_action": policy.out["value_act"], "value_svo": policy.out["value_svo"],
+            })
+            z_prev = policy.p_svo
 
-            # standing SVO for the next observation
-            for i in range(n):
-                onehot = np.zeros(env_cfg.svo_bins)
-                onehot[svo_bins[i]] = 1.0
-                env.svo_prev[i] = onehot
-                env.svo_current[i] = onehot
-            z_prev_dist = p_svo.copy()
-            steps_done += 1
-
-        # per-agent GAE over the finished episode, scattered back step-major.
-        # A solved episode is absorbing (bootstrap 0); hitting the step cap is
-        # a truncation, so the tail bootstraps from the critic's estimate of
-        # the final state instead of pretending the episode ended well.
+        # per-agent GAE over the finished episode, kept step-major. A solved
+        # episode is absorbing (bootstrap 0); hitting the step cap is a
+        # truncation, so the tail bootstraps from the critic's estimate of the
+        # final state instead of pretending the episode ended well.
         T = env.t
         if env.success:
-            boot_a = np.zeros(n)
-            boot_s = np.zeros(n)
+            boot = {"action": np.zeros(n), "svo": np.zeros(n)}
         else:
             final_out = forward(params, np.stack([observe(env, i) for i in range(n)]))
-            boot_a = final_out["value_act"]
-            boot_s = final_out["value_svo"]
-        adv_a = [gae_advantages(ep_ra[i], ep_va[i], cfg.gamma, cfg.lam, float(boot_a[i]))
-                 for i in range(n)]
-        adv_s = [gae_advantages(ep_rs[i], ep_vs[i], cfg.gamma, cfg.lam, float(boot_s[i]))
-                 for i in range(n)]
-        for t in range(T):
-            for i in range(n):
-                ep["adv_action"].append(adv_a[i][t])
-                ep["adv_svo"].append(adv_s[i][t])
-                ep["ret_action"].append(adv_a[i][t] + ep_va[i][t])
-                ep["ret_svo"].append(adv_s[i][t] + ep_vs[i][t])
-        for k in flat:
-            flat[k].extend(ep[k])
+            boot = {"action": final_out["value_act"], "svo": final_out["value_svo"]}
+        arr = {k: np.array([record[k] for record in ep]) for k in ep[0]}   # (T, n, ...)
+        arr["reward_svo"], arr["reward_action"] = arr.pop("split").transpose(2, 0, 1)
+        arr["logp_act_old"] = np.take_along_axis(arr.pop("lp_act"), arr["actions"][..., None], 2)[..., 0]
+        arr["logp_svo_old"] = np.take_along_axis(arr.pop("lp_svo"), arr["svo_bins"][..., None], 2)[..., 0]
+        arr["blocking_label"] = (arr.pop("blocked") > 0).astype(np.float64)
+        for stream in ("action", "svo"):
+            values = arr.pop(f"value_{stream}")
+            adv = np.stack([gae_advantages(arr[f"reward_{stream}"][:, i], values[:, i],
+                                           cfg.gamma, cfg.lam, float(boot[stream][i]))
+                            for i in range(n)], axis=1)
+            arr[f"adv_{stream}"] = adv
+            arr[f"ret_{stream}"] = adv + values
+        episodes.append({k: v.reshape(T * n, *v.shape[2:]) for k, v in arr.items()})
         stats["episodes"] += 1
         stats["env_steps"] += T
         stats["external_reward"] += ep_external
         stats["goals"] += float(env.on_goal().sum())
         stats["length"] += T
 
-    adv_action = np.array(flat["adv_action"])
-    adv_svo = np.array(flat["adv_svo"])
+    batch = RolloutBatch(**{k: np.concatenate([e[k] for e in episodes])
+                            for k in RolloutBatch.__dataclass_fields__})
     if cfg.normalize_advantages:
-        for arr in (adv_action, adv_svo):
-            mean, std = arr.mean(), arr.std()
-            arr -= mean
+        for adv in (batch.adv_action, batch.adv_svo):
+            mean, std = adv.mean(), adv.std()
+            adv -= mean
             if std > 1e-8:
-                arr /= std
-
-    batch = RolloutBatch(
-        obs=np.stack(flat["obs"]),
-        actions=np.array(flat["actions"], dtype=np.int64),
-        svo_bins=np.array(flat["svo_bins"], dtype=np.int64),
-        logp_act_old=np.array(flat["logp_act_old"]),
-        logp_svo_old=np.array(flat["logp_svo_old"]),
-        adv_action=adv_action,
-        adv_svo=adv_svo,
-        ret_action=np.array(flat["ret_action"]),
-        ret_svo=np.array(flat["ret_svo"]),
-        valid_mask=np.stack(flat["valid_mask"]),
-        blocking_label=np.array(flat["blocking_label"]),
-        z_exp=np.stack(flat["z_exp"]),
-        alpha=np.array(flat["alpha"]),
-        reward_action=np.array(flat["reward_action"]),
-        reward_svo=np.array(flat["reward_svo"]),
-        reward_external=np.array(flat["reward_external"]),
-    )
+                adv /= std
     if stats["episodes"]:
         stats["goals"] /= stats["episodes"]
         stats["length"] /= stats["episodes"]
@@ -636,6 +598,8 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
 class TrainedPolicy:
     """Deterministic (argmax) controller backed by trained parameters."""
 
+    needs_social = True
+
     def __init__(self, params: dict, env_cfg: EnvConfig):
         self.params = params
         self.env_cfg = env_cfg
@@ -646,18 +610,18 @@ class TrainedPolicy:
         params, cfg = load_checkpoint(path)
         return TrainedPolicy(params, cfg.env)
 
+    def env_config(self, base: EnvConfig) -> EnvConfig:
+        # observation geometry must match the checkpoint; episode limits and
+        # reward toggles stay with the caller
+        return replace(self.env_cfg, max_episode_length=base.max_episode_length,
+                       blocking_rewards=base.blocking_rewards)
+
     def step(self, env: Gridworld, overlap: social.OverlapResult) -> tuple[np.ndarray, np.ndarray]:
-        n = env.n
-        obs = np.stack([observe(env, i) for i in range(n)])
+        obs = np.stack([observe(env, i) for i in range(env.n)])
         out = forward(self.params, obs)
         svo_bins = np.argmax(out["logits_svo"], axis=1)
-        actions = np.argmax(out["logits_act"], axis=1)
-        for i in range(n):
-            onehot = np.zeros(self.env_cfg.svo_bins)
-            onehot[svo_bins[i]] = 1.0
-            env.svo_prev[i] = onehot
-            env.svo_current[i] = onehot
-        return actions.astype(np.int64), self.angles[svo_bins]
+        env.choose_svo(svo_bins)
+        return np.argmax(out["logits_act"], axis=1).astype(np.int64), self.angles[svo_bins]
 
 
 def smoke_train_config(seed: int = 0, total_env_steps: int = 200_000) -> TrainConfig:

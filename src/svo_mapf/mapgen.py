@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, derive_seed
 
 FREE_GLYPH = "."
 OBSTACLE_GLYPH = "@"
@@ -416,3 +416,16 @@ def gen_corridor(kind: str, corridor_len: int, seed: int) -> Scenario:
     scn = Scenario(grid, starts, goals, seed)
     scn.validate()
     return scn
+
+
+def sample_corridor(p_recess: float, corridor_lengths: tuple[int, int], seed: int,
+                    k: int) -> tuple[Scenario, str]:
+    """Instance k of the recess / I-shape mixture, and its kind.
+
+    Drawn from derive_seed(seed, k): a recess with probability p_recess (else
+    an I-shape), then a corridor length uniform over corridor_lengths.
+    """
+    rng = SplitMix64(derive_seed(seed, k))
+    kind = "recess" if rng.random() < p_recess else "i_shape"
+    length = rng.randint(*corridor_lengths)
+    return gen_corridor(kind, length, rng.next_u64()), kind

@@ -204,3 +204,39 @@ def test_resolve_five_agent_fixture_via_cli(tmp_path, capsys):
     assert result["actions"] == [0, 0, 0, 0, 0]
     assert [i for i, p in enumerate(result["penalties"]) if p == -2.0] == [0, 1, 2]
     assert result["iterations"] == 8
+
+
+def _bad_train_config(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"env": {"block_threshold": -1}}))
+    return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
+
+
+def _height_one_map(tmp_path):
+    (tmp_path / "flat.map").write_text("type octile\nheight 1\nwidth 4\nmap\n....\n")
+    (tmp_path / "flat.scen.json").write_text(json.dumps(
+        {"map": "flat.map", "starts": [[0, 0]], "goals": [[0, 3]]}))
+    return ["run", "--scenario", "flat.scen.json"]
+
+
+def _unknown_policy(tmp_path):
+    cli.main(["gen-map", "--kind", "recess", "--seed", "1", "--out", "."])
+    return ["run", "--scenario", "recess-1.scen.json", "--policy", "nobody"]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (_bad_train_config, "block_threshold must be >= 0, got -1"),
+    (_height_one_map, "line 2: height must be at least 2, got 1"),
+    (lambda tmp_path: ["run", "--scenario", "missing.json"], "No such file or directory: 'missing.json'"),
+    (_unknown_policy, "unknown policy 'nobody'; expected greedy, homo, hetero, scripted or trained:PATH"),
+], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy"])
+def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith("svo-mapf: error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -170,12 +170,15 @@ class TestScriptedPolicies:
         assert set(scn.grid._dfield_cache) <= set(scn.goals)
         assert set(scn.grid._dominator_cache) <= set(scn.goals)
 
-    def test_scripted_policy_step_function(self):
+    def test_policy_step_from_make_policy(self):
         scn = mapgen.gen_corridor("i_shape", 4, seed=1)
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
-        intents_homo, svo_homo = harness.scripted_policy_step(env, "homo")
+        overlap = social.compute_overlap(env.grid, env.positions, env.goals,
+                                         env.config.overlap_decay)
+        env.partners = overlap.partners.copy()
+        intents_homo, svo_homo = harness.make_policy("homo", env.config).step(env, overlap)
         assert not svo_homo.any()
-        intents_het, svo_het = harness.scripted_policy_step(env, "hetero")
+        intents_het, svo_het = harness.make_policy("hetero", env.config).step(env, overlap)
         assert svo_het[0] == 45.0 and svo_het[1] == 0.0
 
 

@@ -290,7 +290,6 @@ class TestTraining:
 
 def test_checkpoint_reload_identical_evaluation(tmp_path):
     from svo_mapf import harness, mapgen
-    from svo_mapf.harness import TrainedPolicyAdapter
 
     cfg = L.TrainConfig(
         smp=L.SmpConfig(hidden=8, epochs=1, minibatch=8, learning_rate=1e-4),
@@ -302,10 +301,10 @@ def test_checkpoint_reload_identical_evaluation(tmp_path):
     L.save_checkpoint(str(path), result.params, cfg)
     scn = mapgen.gen_corridor("i_shape", 5, seed=2)
     before = harness.run_episode(
-        scn, TrainedPolicyAdapter(L.TrainedPolicy(result.params, cfg.env)),
+        scn, L.TrainedPolicy(result.params, cfg.env),
         EnvConfig(max_episode_length=32, blocking_rewards=False))
     after = harness.run_episode(
-        scn, TrainedPolicyAdapter(L.TrainedPolicy.from_checkpoint(str(path))),
+        scn, L.TrainedPolicy.from_checkpoint(str(path)),
         EnvConfig(max_episode_length=32, blocking_rewards=False))
     assert before.metrics == after.metrics
     assert before.paths == after.paths
