@@ -289,9 +289,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
-        # bad input (malformed files, out-of-range settings, missing paths):
-        # one line and argparse's usage-error code instead of a traceback
+    except (ValueError, KeyError, OSError, mapgen.MapGenError) as exc:
+        # bad input (malformed files, bad settings, missing paths, infeasible
+        # maps): one line and argparse's usage-error code, not a traceback
         print(f"svo-mapf: error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mapgen import Scenario
-from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_dominators, distance_field
+from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -158,7 +158,7 @@ def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
     """
     if start == goal:
         return False
-    dist, idom = _goal_dominators(grid, goal)
+    dist, idom, _ = _goal_entry(grid, goal)
     w = grid.width
     s = start[0] * w + start[1]
     b = blocker_cell[0] * w + blocker_cell[1]

@@ -22,7 +22,8 @@ import numpy as np
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
 from .mapgen import GridMap, Scenario, gen_maze, gen_random, gen_room, sample_corridor
-from .pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, UNREACHABLE, _bfs, distance_field
+from .pathing import IDLE, _action, _bfs, _descend, _goal_entry, _neighbour_table
+from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
 from .rng import derive_seed
 
@@ -63,22 +64,15 @@ def _occupancy_aware_greedy(env: Gridworld, agent: int) -> int:
     pos, goal = env.positions[agent], env.goals[agent]
     if pos == goal:
         return IDLE
-    dist = distance_field(env.grid, goal)
-    d = dist[pos]
-    if d == UNREACHABLE:
-        return IDLE
-    parked = {env.positions[j] for j in range(env.n)
-              if j != agent and env.positions[j] == env.goals[j]}
-    fallback = IDLE
-    for action in MOVE_ORDER:
-        dr, dc = ACTION_DELTAS[action]
-        nxt = (pos[0] + dr, pos[1] + dc)
-        if env.grid.in_bounds(*nxt) and dist[nxt] == d - 1:
-            if nxt not in parked:
-                return action
-            if fallback == IDLE:
-                fallback = action
-    return fallback
+    w = env.grid.width
+    dist, nbrs = _goal_entry(env.grid, goal)[0], _neighbour_table(env.grid)
+    u = pos[0] * w + pos[1]
+    parked = {r * w + c for j, (r, c) in enumerate(env.positions)
+              if j != agent and (r, c) == env.goals[j]}
+    v = _descend(nbrs, dist, u, parked)
+    if v < 0:
+        v = _descend(nbrs, dist, u)
+    return _action(u, v, w)
 
 
 class HeterogeneousScriptedPolicy:
@@ -126,13 +120,7 @@ class HeterogeneousScriptedPolicy:
         w = env.grid.width
         here = pos[0] * w + pos[1]
         dist = _bfs(env.grid, refuge[0] * w + refuge[1], target=here)
-        d = dist[here]
-        for action in MOVE_ORDER:
-            dr, dc = ACTION_DELTAS[action]
-            nr, nc = pos[0] + dr, pos[1] + dc
-            if env.grid.in_bounds(nr, nc) and dist[nr * w + nc] == d - 1:
-                return action
-        return IDLE
+        return _action(here, _descend(_neighbour_table(env.grid), dist, here), w)
 
 
 def _nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
@@ -444,9 +432,10 @@ class CaseStudyResult:
     per_episode_goals: list[int]
     per_kind_goals: dict
 
-    def kind_mean(self, kind: str) -> float:
+    def kind_mean(self, kind: str) -> float | None:
+        """Mean goals over the episodes of one kind; None when none drew it."""
         counts = self.per_kind_goals.get(kind, [])
-        return float(np.mean(counts)) if counts else float("nan")
+        return float(np.mean(counts)) if counts else None
 
 
 def corridor_case_study(p_recess: float, p_ishape: float, episodes: int, policy_name: str,
@@ -457,8 +446,12 @@ def corridor_case_study(p_recess: float, p_ishape: float, episodes: int, policy_
     The map kind is sampled per episode with the given probabilities and the
     corridor length varies uniformly over the configured range.
     """
+    if not (0.0 <= p_recess <= 1.0 and 0.0 <= p_ishape <= 1.0):
+        raise ValueError(f"kind probabilities must lie in [0, 1], got {p_recess} and {p_ishape}")
     if abs(p_recess + p_ishape - 1.0) > 1e-9:
         raise ValueError("kind probabilities must sum to 1")
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
     env_cfg = env_cfg or EnvConfig(blocking_rewards=False)  # goals-only metric
     policy = make_policy(policy_name, env_cfg)
     per_episode = []

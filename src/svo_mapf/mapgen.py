@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class GridMap:
     """Static occupancy grid. Cells are (row, col); True means obstacle.
 
     Moves off the edge are invalid (no wall ring is stored). Instances are
-    treated as immutable after construction; the neighbour table, distance
-    fields and dominator arrays computed against a map are cached on the
+    treated as immutable after construction; the neighbour table and each
+    goal's distances and dominators computed against a map are cached on the
     instance (see pathing).
     """
 
@@ -56,8 +56,7 @@ class GridMap:
         self.height = h
         self.width = w
         self._neighbour_table: list | None = None
-        self._dfield_cache: dict = {}
-        self._dominator_cache: dict = {}
+        self._goal_cache: dict = {}
 
     def in_bounds(self, r: int, c: int) -> bool:
         return 0 <= r < self.height and 0 <= c < self.width
@@ -147,7 +146,6 @@ class Scenario:
     starts: list[tuple[int, int]]
     goals: list[tuple[int, int]]
     seed: int
-    unreachable: list[int] = field(default_factory=list)
 
     @property
     def n_agents(self) -> int:

@@ -6,7 +6,8 @@ costs this returns the same lengths an open-list search would, but one BFS
 per goal is amortized across every timestep and agent that plans to it.
 Every search runs on one BFS kernel over a flat neighbour table built once
 per map; the goal's BFS also records each cell's immediate dominator, which
-blocking detection walks.
+blocking detection walks, and every step toward a cell (a path, a greedy
+step, the scripted policies' moves) is one descent helper over that table.
 """
 
 from __future__ import annotations
@@ -106,42 +107,60 @@ def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,
     return dist
 
 
-def _goal_dominators(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array]:
-    """Flat distances to the goal and immediate dominators toward it, from
-    one BFS and cached per goal on the map.
+def _goal_entry(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array, np.ndarray]:
+    """Flat distances to the goal, immediate dominators toward it and a
+    read-only H x W view of the distances: one BFS, cached per goal on the map.
 
     v, idom[v], idom[idom[v]], ..., goal are exactly the cells on every
     shortest v -> goal path. Unreachable and obstacle cells hold UNREACHABLE
-    in both arrays.
+    in both flat arrays.
     """
-    cached = grid._dominator_cache.get(goal)
-    if cached is not None:
-        return cached
+    entry = grid._goal_cache.get(goal)
+    if entry is not None:
+        return entry
     if not grid.is_free(*goal):
         raise ValueError(f"goal {goal} is not a free cell")
     g = goal[0] * grid.width + goal[1]
     idom = [UNREACHABLE] * (grid.height * grid.width)
     idom[g] = g
-    dist = _bfs(grid, g, idom=idom)
-    cached = grid._dominator_cache[goal] = (array("i", dist), array("i", idom))
-    return cached
+    dist = array("i", _bfs(grid, g, idom=idom))
+    field = np.frombuffer(dist, dtype=np.int32).reshape(grid.height, grid.width)
+    field.flags.writeable = False
+    entry = grid._goal_cache[goal] = (dist, array("i", idom), field)
+    return entry
 
 
 def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
     """Exact BFS distances (in steps) from every free cell to the goal.
 
-    Unreachable and obstacle cells hold UNREACHABLE. Fields are cached on the
-    map instance, keyed by goal; each is a read-only view of the goal's flat
-    distance array.
+    Unreachable and obstacle cells hold UNREACHABLE. The field is a read-only
+    view of the goal's cached flat distances, the same object on every call
+    for the same map and goal.
     """
-    cached = grid._dfield_cache.get(goal)
-    if cached is not None:
-        return cached
-    dist, _ = _goal_dominators(grid, goal)
-    field = np.frombuffer(dist, dtype=np.int32).reshape(grid.height, grid.width)
-    field.flags.writeable = False
-    grid._dfield_cache[goal] = field
-    return field
+    return _goal_entry(grid, goal)[2]
+
+
+def _descend(nbrs, dist, u: int, skip=()) -> int:
+    """The first neighbour of flat cell u (Up, Down, Left, Right order)
+    exactly one step closer under the flat distances dist and not in skip, or
+    -1. u must not be dist's source: an unlabelled neighbour reads as closer."""
+    d = dist[u] - 1
+    for v in nbrs[u]:
+        if dist[v] == d and v not in skip:
+            return v
+    return -1
+
+
+def _action(u: int, v: int, width: int) -> int:
+    """The move from flat cell u to its neighbour v; IDLE when v is -1."""
+    if v < 0:
+        return IDLE
+    step = v - u
+    if step == -width:
+        return UP
+    if step == width:
+        return DOWN
+    return LEFT if step == -1 else RIGHT
 
 
 @dataclass
@@ -163,14 +182,6 @@ class PathFlow:
         return len(self.vertices) - 1
 
 
-def _direction(a: tuple[int, int], b: tuple[int, int]) -> int:
-    dr, dc = b[0] - a[0], b[1] - a[1]
-    for action in MOVE_ORDER:
-        if ACTION_DELTAS[action] == (dr, dc):
-            return action
-    raise ValueError(f"{a} and {b} are not 4-adjacent")
-
-
 def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> PathFlow:
     """Deterministic shortest path from start to goal as a PathFlow.
 
@@ -180,24 +191,21 @@ def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> 
     """
     if not grid.is_free(*start):
         raise ValueError(f"start {start} is not a free cell")
-    dist = distance_field(grid, goal)
-    if dist[start] == UNREACHABLE:
+    dist = _goal_entry(grid, goal)[0]
+    w = grid.width
+    u, g = start[0] * w + start[1], goal[0] * w + goal[1]
+    if dist[u] == UNREACHABLE:
         raise NoPathError(f"no path from {start} to {goal}")
+    nbrs = _neighbour_table(grid)
     vertices = [start]
     directions = []
-    r, c = start
-    while (r, c) != goal:
-        d = dist[r, c]
-        for action in MOVE_ORDER:
-            dr, dc = ACTION_DELTAS[action]
-            nr, nc = r + dr, c + dc
-            if grid.in_bounds(nr, nc) and dist[nr, nc] == d - 1:
-                directions.append(action)
-                vertices.append((nr, nc))
-                r, c = nr, nc
-                break
-        else:  # unreachable by construction: every reachable cell has a descent neighbor
-            raise NoPathError(f"descent stalled at {(r, c)}")
+    while u != g:
+        v = _descend(nbrs, dist, u)
+        if v < 0:  # unreachable by construction: every reachable cell has a descent neighbor
+            raise NoPathError(f"descent stalled at {divmod(u, w)}")
+        directions.append(_action(u, v, w))
+        vertices.append(divmod(v, w))
+        u = v
     directions.append(STOP)
     return PathFlow(vertices, directions)
 
@@ -206,13 +214,6 @@ def greedy_step(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int]) -> i
     """First distance-decreasing action from pos; IDLE when on goal or stuck."""
     if pos == goal:
         return IDLE
-    dist = distance_field(grid, goal)
-    d = dist[pos]
-    if d == UNREACHABLE:
-        return IDLE
-    for action in MOVE_ORDER:
-        dr, dc = ACTION_DELTAS[action]
-        nr, nc = pos[0] + dr, pos[1] + dc
-        if grid.in_bounds(nr, nc) and dist[nr, nc] == d - 1:
-            return action
-    return IDLE
+    w = grid.width
+    u = pos[0] * w + pos[1]
+    return _action(u, _descend(_neighbour_table(grid), _goal_entry(grid, goal)[0], u), w)

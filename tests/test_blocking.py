@@ -172,7 +172,7 @@ def _shortest_paths(start, goal, to_goal):
 
 
 def dominator_chain(grid, start, goal):
-    dist, idom = pathing._goal_dominators(grid, goal)
+    dist, idom, _ = pathing._goal_entry(grid, goal)
     w = grid.width
     cell = start[0] * w + start[1]
     chain = [cell]
@@ -190,7 +190,7 @@ def test_dominator_chain_is_the_set_of_cells_on_every_shortest_path(data):
     free = grid.free_cells()
     goal = data.draw(st.sampled_from(free))
     to_goal = _bfs_distances(grid, goal)
-    dist, idom = pathing._goal_dominators(grid, goal)
+    dist, idom, _ = pathing._goal_entry(grid, goal)
     for start in free:
         flat = start[0] * grid.width + start[1]
         if start not in to_goal:

@@ -130,6 +130,25 @@ def test_case_study_command(capsys):
     assert result["mean_goals"] == 2.0
 
 
+def _no_nan(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@pytest.mark.parametrize("p_recess, empty", [("1.0", "i_shape"), ("0.0", "recess"), ("0.5", None)])
+def test_case_study_prints_strict_json(p_recess, empty, capsys):
+    # a kind that no episode drew has no mean: null, never NaN
+    code, out = run_cli(["case-study", "--p-recess", p_recess, "--episodes", "6",
+                         "--policy", "hetero", "--seed", "2"], capsys)
+    assert code == 0
+    result = json.loads(out.splitlines()[-1], parse_constant=_no_nan)
+    for kind in ("recess", "i_shape"):
+        if kind == empty:
+            assert result[f"{kind}_episodes"] == 0 and result[f"{kind}_mean"] is None
+        else:
+            assert result[f"{kind}_episodes"] > 0 and result[f"{kind}_mean"] == 2.0
+    assert result["mean_goals"] == 2.0
+
+
 def test_train_command_and_checkpoint_runs(tmp_path, capsys):
     cfg = {
         "smp": {"hidden": 8, "epochs": 1, "minibatch": 8, "learning_rate": 1e-4},
@@ -228,7 +247,18 @@ def _unknown_policy(tmp_path):
     (_height_one_map, "line 2: height must be at least 2, got 1"),
     (lambda tmp_path: ["run", "--scenario", "missing.json"], "No such file or directory: 'missing.json'"),
     (_unknown_policy, "unknown policy 'nobody'; expected greedy, homo, hetero, scripted or trained:PATH"),
-], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy"])
+    (lambda tmp_path: ["gen-map", "--kind", "random", "--size", "4x4", "--agents", "30",
+                       "--out", "m"], "no feasible random map after 100 attempts"),
+    (lambda tmp_path: ["bench", "--family", "random", "--size", "4", "--agents", "30",
+                       "--instances", "1", "--out", "r.json"], "no feasible random map after 100 attempts"),
+    (lambda tmp_path: ["case-study", "--p-recess", "1.5", "--episodes", "4"],
+     "kind probabilities must lie in [0, 1], got 1.5 and -0.5"),
+    (lambda tmp_path: ["case-study", "--p-recess", "-0.2", "--episodes", "4"],
+     "kind probabilities must lie in [0, 1], got -0.2 and 1.2"),
+    (lambda tmp_path: ["case-study", "--episodes", "0"], "episodes must be at least 1, got 0"),
+], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
+        "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
+        "zero-episodes"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)

@@ -3,8 +3,11 @@
 The determinism tests elsewhere compare two runs of the same code, so they
 cannot notice a change that alters outputs. These digests were recorded from
 the code before the evaluation and training episode loops were merged into
-one; every later change must reproduce them. Integers are hashed exactly and
-floats rounded to 9 decimals, so the digests do not depend on the BLAS build.
+one; the CLI digests (gen-map, bench with its CSV, case-study, run and
+replay-adg, stdout and stderr included) were recorded before the four
+descent loops became one helper. Every later change must reproduce them.
+Integers are hashed exactly and floats rounded to 9 decimals, so the digests
+do not depend on the BLAS build.
 """
 
 import hashlib
@@ -98,3 +101,71 @@ def test_golden_outputs(tmp_path, capsys):
     got["run_trained"] = digest(run_trace(scen, f"trained:{ckpt}", tmp_path))
     capsys.readouterr()
     assert got == GOLDEN
+
+
+def cli_digest(args, tmp_path, capsys, *files):
+    """Digest of one CLI command: exit code, stdout and stderr (with the
+    temporary directory masked) and the bytes of each named output file."""
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    mask = str(tmp_path)
+    return digest([code, captured.out.replace(mask, "TMP"), captured.err.replace(mask, "TMP"),
+                   [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files]])
+
+
+GOLDEN_CLI = {
+    "gen_map_room":
+        "df41938680313f7c85407d9ac7f58e432be1cb8c25a8d8f8348c0d8d79ca0900",
+    "gen_map_maze":
+        "01d92f342be177d948fccb0ede6fd417449e4389224b044b8884cc958b298f0d",
+    "gen_map_random":
+        "3462752583d555dd0fb90c62bda44c1031aec02e2840448c0e74e48bb6790653",
+    "gen_map_recess":
+        "bcedf5f2f9e10007b1d96e987577c293c2a11eda55bbec3f09df009163048741",
+    "bench_room_hetero":
+        "caf2151f201a309e9ca1025c81fefdc01abe656038c77616d2a168a31ebaf092",
+    "bench_maze_greedy":
+        "3027cfc87fa9aca88f8da0120837309bca1be8bb4a4cdcac223a1ea021501255",
+    "case_study_homo":
+        "e414c60ee59bdf1359296696939dfa6788b7748afb165e6ae345d840467db160",
+    "case_study_hetero":
+        "0f0d4f40f06ca1249293be7d5d28731ef7de86e58293bc820209cc8467b09442",
+    "run_room_hetero":
+        "2e4bc0749139fa438903645864797071bb1878cbacc2ddaafe5932dc3ae25033",
+    "replay_adg":
+        "9bc67de9ffc5c06bcf7800752b59c1b3df0ce76a806f76e556a336b778852e5a",
+}
+
+
+def test_golden_cli_outputs(tmp_path, capsys):
+    got = {}
+    for kind, extra in (("room", ["--size", "16x16", "--agents", "6"]),
+                        ("maze", ["--size", "15x15", "--agents", "6"]),
+                        ("random", ["--size", "12x12", "--density", "0.25", "--agents", "6"]),
+                        ("recess", ["--corridor-len", "6"])):
+        got[f"gen_map_{kind}"] = cli_digest(
+            ["gen-map", "--kind", kind, *extra, "--seed", "4", "--out", str(tmp_path)],
+            tmp_path, capsys, f"{kind}-4.map", f"{kind}-4.scen.json")
+
+    for family, policy in (("room", "hetero"), ("maze", "greedy")):
+        got[f"bench_{family}_{policy}"] = cli_digest(
+            ["bench", "--family", family, "--size", "16", "--agents", "6", "--instances", "3",
+             "--policy", policy, "--seed", "7", "--out", str(tmp_path / "bench.json"),
+             "--csv", str(tmp_path / "bench.csv")],
+            tmp_path, capsys, "bench.json", "bench.csv")
+
+    for policy in ("homo", "hetero"):
+        got[f"case_study_{policy}"] = cli_digest(
+            ["case-study", "--p-recess", "0.5", "--episodes", "24", "--policy", policy,
+             "--seed", "6"], tmp_path, capsys)
+
+    got["run_room_hetero"] = cli_digest(
+        ["run", "--scenario", str(tmp_path / "room-4.scen.json"), "--policy", "hetero",
+         "--max-steps", "64", "--trace", str(tmp_path / "trace.jsonl")],
+        tmp_path, capsys, "trace.jsonl")
+    (tmp_path / "speeds.json").write_text("[1.0, 2.0, 0.5, 1.5, 1.0, 0.75]")
+    got["replay_adg"] = cli_digest(
+        ["replay-adg", "--trace", str(tmp_path / "trace.jsonl"),
+         "--speeds", str(tmp_path / "speeds.json"), "--seed", "3", "--jitter", "0.5"],
+        tmp_path, capsys)
+    assert got == GOLDEN_CLI

@@ -158,7 +158,7 @@ class TestScriptedPolicies:
                 checked += 1
             assert harness.HeterogeneousScriptedPolicy._retreat_step(env, 0, flow) == want
         assert checked > 10
-        assert set(scn.grid._dfield_cache) == targets  # no refuge field was cached
+        assert set(scn.grid._goal_cache) == targets  # no refuge field was cached
 
     def test_distance_fields_cached_only_for_goals(self):
         # a blocking-on hetero episode on a 32x32 room map caches one field
@@ -167,8 +167,7 @@ class TestScriptedPolicies:
         result = harness.run_episode(scn, harness.HeterogeneousScriptedPolicy(),
                                      EnvConfig(max_episode_length=32))
         assert any(45.0 in step for step in result.metrics.svo_trace)  # somebody retreated
-        assert set(scn.grid._dfield_cache) <= set(scn.goals)
-        assert set(scn.grid._dominator_cache) <= set(scn.goals)
+        assert set(scn.grid._goal_cache) <= set(scn.goals)
 
     def test_policy_step_from_make_policy(self):
         scn = mapgen.gen_corridor("i_shape", 4, seed=1)
@@ -198,6 +197,16 @@ class TestCaseStudy:
     def test_mixture_probabilities_validated(self):
         with pytest.raises(ValueError):
             harness.corridor_case_study(0.8, 0.3, 10, "homo", seed=0)
+
+    @pytest.mark.parametrize("p_recess, p_ishape, episodes", [
+        (1.5, -0.5, 10), (-0.2, 1.2, 10), (float("nan"), 0.5, 10), (0.5, 0.5, 0)])
+    def test_out_of_range_arguments_rejected(self, p_recess, p_ishape, episodes):
+        with pytest.raises(ValueError):
+            harness.corridor_case_study(p_recess, p_ishape, episodes, "homo", seed=0)
+
+    def test_kind_without_episodes_has_no_mean(self):
+        res = harness.corridor_case_study(1.0, 0.0, 3, "hetero", seed=0)
+        assert res.kind_mean("recess") == 2.0 and res.kind_mean("i_shape") is None
 
     def test_kind_mix_follows_probability(self):
         res = harness.corridor_case_study(0.8, 0.2, 200, "hetero", seed=23,
