@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import execution, harness, learner, mapgen, social
+from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
 from .resolver import resolve as resolver_resolve
 
 
 def _cmd_gen_map(args) -> int:
-    if args.kind in ("recess", "ishape", "i_shape"):
+    if args.kind in ("recess", "ishape"):
         kind = "recess" if args.kind == "recess" else "i_shape"
         scenario = mapgen.gen_corridor(kind, args.corridor_len, args.seed)
     else:
@@ -78,6 +79,37 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_snapshot(grid, state) -> None:
+    """Reject what resolve would misread: shared or blocked cells, intents
+    outside the five actions, and SVO angles outside [0, 45] degrees."""
+    positions, intents, svos = state["positions"], state["intents"], state["svos"]
+    if not isinstance(positions, list):
+        raise ValueError("positions: need a list of [row, col] cells")
+    for name, values in (("intents", intents), ("svos", svos)):
+        if not isinstance(values, list) or len(values) != len(positions):
+            raise ValueError(f"{name}: need one entry per agent ({len(positions)})")
+    seen = {}
+    for i, p in enumerate(positions):
+        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
+                and grid.is_free(*p)):
+            raise ValueError(f"positions[{i}]: {p} is not a free cell of the "
+                             f"{grid.height}x{grid.width} map")
+        if tuple(p) in seen:
+            raise ValueError(f"positions[{i}]: agents {seen[tuple(p)]} and {i} share {p}")
+        seen[tuple(p)] = i
+    for i, a in enumerate(intents):
+        if not (_is_int(a) and 0 <= a <= 4):
+            raise ValueError(f"intents[{i}]: {a} is not an action 0-4")
+    for i, z in enumerate(svos):
+        if not (isinstance(z, (int, float)) and not isinstance(z, bool)
+                and math.isfinite(z) and 0 <= z <= 45):
+            raise ValueError(f"svos[{i}]: {z} is not an angle in [0, 45] degrees")
+
+
 def _cmd_resolve(args) -> int:
     with open(args.state) as f:
         state = json.load(f)
@@ -87,6 +119,7 @@ def _cmd_resolve(args) -> int:
     else:
         with open(map_ref) as f:
             grid = mapgen.read_map(f.read())
+    _check_snapshot(grid, state)
     positions = [tuple(p) for p in state["positions"]]
     outcome = resolver_resolve(grid, positions,
                                np.array(state["intents"], dtype=np.int64),
@@ -184,18 +217,23 @@ def _cmd_case_study(args) -> int:
 
 
 def _cmd_replay_adg(args) -> int:
-    paths_by_agent: dict[int, list] = {}
+    paths = None
     with open(args.trace) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             record = json.loads(line)
             if "positions" not in record or record["positions"] is None:
                 continue
-            for i, pos in enumerate(record["positions"]):
-                paths_by_agent.setdefault(i, []).append(tuple(pos))
-    paths = [paths_by_agent[i] for i in sorted(paths_by_agent)]
+            positions = record["positions"]
+            if paths is None:
+                paths = [[] for _ in positions]
+            elif len(positions) != len(paths):
+                raise ValueError(f"{args.trace} line {lineno}: {len(positions)} positions, "
+                                 f"but the t = 0 record has {len(paths)}")
+            for path, pos in zip(paths, positions):
+                path.append(tuple(pos))
     with open(args.speeds) as f:
         speeds = json.load(f)
-    graph = execution.build_adg(paths)
+    graph = execution.build_adg(paths or [])
     log = execution.simulate_execution(graph, speeds, jitter_seed=args.seed,
                                        jitter_amplitude=args.jitter)
     lines = [json.dumps({"t": round(ev.t, 9), "task_id": ev.task_id,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .pathing import IDLE, MOVE_ORDER, ACTION_DELTAS
 from .rng import SplitMix64, derive_seed
 
 STAGED = "STAGED"
@@ -24,7 +23,7 @@ _STATUS_NEXT = {STAGED: ENQUEUED, ENQUEUED: DONE}
 
 
 class PlanError(ValueError):
-    """The input plan violates the no-shared-vertex or no-swap conditions."""
+    """The input plan shares a vertex, swaps, steps off 4-adjacency or rotates."""
 
 
 class AdgError(RuntimeError):
@@ -35,9 +34,6 @@ class AdgError(RuntimeError):
 class AdgTask:
     task_id: int
     robot_id: int
-    action: int
-    start_pos: tuple[int, int]
-    end_pos: tuple[int, int]
     time: int
     dependencies: set[int] = field(default_factory=set)
     status: str = STAGED
@@ -53,22 +49,22 @@ class AdgGraph:
     tasks: list[AdgTask]
     robot_tasks: list[list[int]]            # per robot, task ids in time order
     cell_visits: dict                        # cell -> [(enter_t, enter_id, vacate_id|None)]
-    n_robots: int
     horizon: int
 
 
-def _pad_paths(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
-    horizon = max(len(p) for p in paths)
-    return [list(p) + [p[-1]] * (horizon - len(p)) for p in paths]
-
-
 def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
-    """Pad to a common horizon and check the two collision conditions."""
+    """Pad to a common horizon and check that the ADG can execute the plan.
+
+    The first failure raises, checked in this order: a shared vertex, a swap,
+    a step that is neither idle nor 4-adjacent, and a rotation (robots that
+    each enter the cell the next one leaves, so each move waits on the next).
+    """
     if not paths or any(len(p) == 0 for p in paths):
         raise PlanError("every robot needs a non-empty path")
-    padded = _pad_paths(paths)
-    horizon = len(padded[0])
+    horizon = max(len(p) for p in paths)
+    padded = [list(p) + [p[-1]] * (horizon - len(p)) for p in paths]
     n = len(padded)
+    occupant = []   # per t: cell -> robot
     for t in range(horizon):
         seen = {}
         for i in range(n):
@@ -76,22 +72,32 @@ def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, in
             if cell in seen:
                 raise PlanError(f"robots {seen[cell]} and {i} share {cell} at t={t}")
             seen[cell] = i
-    for t in range(horizon - 1):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if padded[i][t] == padded[j][t + 1] and padded[i][t + 1] == padded[j][t]:
-                    raise PlanError(f"robots {i} and {j} swap between t={t} and t={t + 1}")
+        occupant.append(seen)
+    # leaves[t][i]: the robot whose cell robot i enters from t to t+1, in robot
+    # order. No two robots enter one cell, so following leaves from i either
+    # stops or returns to i: a 2-cycle is a swap, a longer one a rotation.
+    leaves = [{i: here[padded[i][t + 1]] for i in range(n)
+               if padded[i][t + 1] != padded[i][t] and padded[i][t + 1] in here}
+              for t, here in enumerate(occupant[:-1])]
+    for t, step in enumerate(leaves):
+        for i, j in step.items():
+            if j > i and step.get(j) == i:
+                raise PlanError(f"robots {i} and {j} swap between t={t} and t={t + 1}")
+    for path in padded:
+        for a, b in zip(path, path[1:]):
+            if (abs(b[0] - a[0]), abs(b[1] - a[1])) not in ((0, 0), (0, 1), (1, 0)):
+                raise PlanError(f"plan steps {a} -> {b} are not 4-adjacent")
+    for t, step in enumerate(leaves):
+        seen = set()
+        for i in step:
+            cycle = [i]
+            while cycle[-1] in step and cycle[-1] not in seen:
+                seen.add(cycle[-1])
+                cycle.append(step[cycle[-1]])
+            if len(cycle) > 1 and cycle[-1] == i:
+                raise PlanError(f"robots {', '.join(map(str, cycle[:-1]))} rotate between "
+                                f"t={t} and t={t + 1}: each enters the cell the next one leaves")
     return padded
-
-
-def _move_action(a: tuple[int, int], b: tuple[int, int]) -> int:
-    if a == b:
-        return IDLE
-    delta = (b[0] - a[0], b[1] - a[1])
-    for action in MOVE_ORDER:
-        if ACTION_DELTAS[action] == delta:
-            return action
-    raise PlanError(f"plan steps {a} -> {b} are not 4-adjacent")
 
 
 def build_adg(paths: list[list[tuple[int, int]]]) -> AdgGraph:
@@ -109,15 +115,10 @@ def build_adg(paths: list[list[tuple[int, int]]]) -> AdgGraph:
     tasks: list[AdgTask] = []
     robot_tasks: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        anchor = AdgTask(len(tasks), i, IDLE, padded[i][0], padded[i][0], 0)
-        tasks.append(anchor)
-        robot_tasks[i].append(anchor.task_id)
-        for t in range(1, horizon + 1):
-            a, b = padded[i][t - 1], padded[i][t]
-            task = AdgTask(len(tasks), i, _move_action(a, b), a, b, t,
-                           dependencies={robot_tasks[i][-1]})
-            tasks.append(task)
-            robot_tasks[i].append(task.task_id)
+        for t in range(horizon + 1):
+            deps = {robot_tasks[i][-1]} if t else set()
+            robot_tasks[i].append(len(tasks))
+            tasks.append(AdgTask(len(tasks), i, t, dependencies=deps))
 
     # per-cell visit intervals: a visit starts with the task that arrives and
     # ends with the first task that moves out (None if the robot parks).
@@ -140,17 +141,23 @@ def build_adg(paths: list[list[tuple[int, int]]]) -> AdgGraph:
                 raise AdgError(f"cell {cell}: occupant at t={t0} never vacates before t={t1}")
             tasks[enter1].dependencies.add(vacate0)
 
-    graph = AdgGraph(tasks, robot_tasks, cell_visits, n, horizon)
+    graph = AdgGraph(tasks, robot_tasks, cell_visits, horizon)
     topological_order(graph)  # asserts acyclicity
     return graph
 
 
-def topological_order(graph: AdgGraph) -> list[int]:
-    indeg = {t.task_id: len(t.dependencies) for t in graph.tasks}
-    dependents: dict[int, list[int]] = {t.task_id: [] for t in graph.tasks}
+def _dependents(graph: AdgGraph) -> list[list[int]]:
+    """Per task id, the ids of the tasks that depend on it, ascending."""
+    dependents: list[list[int]] = [[] for _ in graph.tasks]
     for t in graph.tasks:
         for d in t.dependencies:
             dependents[d].append(t.task_id)
+    return dependents
+
+
+def topological_order(graph: AdgGraph) -> list[int]:
+    indeg = {t.task_id: len(t.dependencies) for t in graph.tasks}
+    dependents = _dependents(graph)
     ready = [tid for tid, deg in indeg.items() if deg == 0]
     heapq.heapify(ready)
     order = []
@@ -191,15 +198,12 @@ def simulate_execution(
     """
     if any(m <= 0 for m in speed_profile):
         raise ValueError("speed multipliers must be positive")
-    if len(speed_profile) != graph.n_robots:
+    if len(speed_profile) != len(graph.robot_tasks):
         raise ValueError("need one speed multiplier per robot")
     for task in graph.tasks:
         task.status = STAGED
     remaining = {t.task_id: len(t.dependencies) for t in graph.tasks}
-    dependents: dict[int, list[int]] = {t.task_id: [] for t in graph.tasks}
-    for t in graph.tasks:
-        for d in t.dependencies:
-            dependents[d].append(t.task_id)
+    dependents = _dependents(graph)
 
     log: list[ExecEvent] = []
     queue: list[tuple[float, int, int]] = []

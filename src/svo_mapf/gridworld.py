@@ -10,7 +10,7 @@ resolver-assigned collision penalty, and the blocking penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +52,8 @@ class EnvConfig:
 
 @dataclass
 class StepOutcome:
-    actions: np.ndarray
     rewards: np.ndarray          # external reward per agent, fully composed
-    base_rewards: np.ndarray     # movement / idle component only
     blocked_counts: np.ndarray   # agents blocked by each agent this step
-    on_goal: np.ndarray
-    t: int
-    all_done: bool
 
 
 def obs_length(fov: int, svo_bins: int) -> int:
@@ -122,14 +117,13 @@ class Gridworld:
         self.positions = new_positions
         self.t += 1
 
-        base = np.empty(self.n)
+        rewards = np.empty(self.n)
         on_goal = self.on_goal()
         for i in range(self.n):
             if joint_action[i] == IDLE:
-                base[i] = IDLE_ON_GOAL_REWARD if on_goal[i] else IDLE_OFF_GOAL_COST
+                rewards[i] = IDLE_ON_GOAL_REWARD if on_goal[i] else IDLE_OFF_GOAL_COST
             else:
-                base[i] = MOVE_COST
-        rewards = base.copy()
+                rewards[i] = MOVE_COST
         if collision_penalties is not None:
             rewards += np.asarray(collision_penalties, dtype=np.float64)
         blocked = np.zeros(self.n, dtype=np.int64)
@@ -143,7 +137,7 @@ class Gridworld:
             self.success = True
         elif self.t >= self.config.max_episode_length:
             self.terminated = True
-        return StepOutcome(joint_action, rewards, base, blocked, on_goal, self.t, self.terminated)
+        return StepOutcome(rewards, blocked)
 
 
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class EpisodeMetrics:
     arrival_rate: float
     collisions_prevented: int
     goals_reached: int
-    svo_trace: list[list[float]] = field(default_factory=list)
 
 
 @dataclass
@@ -171,7 +170,6 @@ class EpisodeStep:
     """What one pass of the step loop saw and did."""
 
     overlap: social.OverlapResult | None   # None when nothing asked for it
-    partners: np.ndarray                   # fixed partners this step's policy read
     svo_deg: np.ndarray
     resolution: ResolutionOutcome
     outcome: StepOutcome
@@ -184,20 +182,19 @@ def episode_steps(env: Gridworld, policy, trace_social: bool = False):
     it) and updates the fixed partners, asks policy.step(env, overlap) for
     intents and SVO angles, resolves them and steps the environment.
     """
-    fixed = env.partners
     while not env.terminated:
         overlap = None
         if policy.needs_social or trace_social:
             overlap = social.compute_overlap(env.grid, env.positions, env.goals,
                                              env.config.overlap_decay)
             if env.t == 0:
-                fixed = overlap.partners.copy()
+                env.partners = overlap.partners.copy()
             else:
-                fixed = social.update_fixed_partners(overlap.partners, overlap.matrix, fixed)
-            env.partners = fixed
+                env.partners = social.update_fixed_partners(overlap.partners, overlap.matrix,
+                                                            env.partners)
         intents, svo_deg = policy.step(env, overlap)
         res = resolve(env.grid, env.positions, intents, svo_deg)
-        yield EpisodeStep(overlap, fixed, svo_deg, res, env.step(res.actions, res.penalties))
+        yield EpisodeStep(overlap, svo_deg, res, env.step(res.actions, res.penalties))
 
 
 def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
@@ -210,12 +207,10 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
     env = Gridworld(scenario, effective_env_cfg(policy, env_cfg))
     paths = [[pos] for pos in env.positions]
     collisions_prevented = 0
-    svo_trace: list[list[float]] = []
     total_external = 0.0
     for step in episode_steps(env, policy, trace_social):
         res, out = step.resolution, step.outcome
         collisions_prevented += sum(1 for a in res.annotations if a != NORMAL)
-        svo_trace.append([float(z) for z in step.svo_deg])
         total_external += float(out.rewards.sum())
         for i in range(env.n):
             paths[i].append(env.positions[i])
@@ -231,7 +226,7 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
                 record["overlap"] = [[round(float(x), 10) for x in row]
                                      for row in step.overlap.matrix]
                 record["temporary_partners"] = [int(p) for p in step.overlap.partners]
-                record["fixed_partners"] = [int(p) for p in step.partners]
+                record["fixed_partners"] = [int(p) for p in env.partners]
             trace_writer(record)
     on_goal = env.on_goal()
     metrics = EpisodeMetrics(
@@ -240,7 +235,6 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
         arrival_rate=float(on_goal.sum()) / env.n,
         collisions_prevented=collisions_prevented,
         goals_reached=int(on_goal.sum()),
-        svo_trace=svo_trace,
     )
     return EpisodeResult(metrics, paths, total_external)
 

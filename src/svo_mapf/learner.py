@@ -412,7 +412,7 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, sampler,
             ep_external += float(rewards.sum())
             split, alpha, z_exp = [], [], []
             for i in range(n):
-                p = int(step.partners[i])
+                p = int(env.partners[i])
                 split.append(social.redistribute_rewards(
                     rewards[i], rewards[p], float(step.svo_deg[i]), env_cfg.svo_importance))
                 a, z = social.stability_target(

@@ -242,6 +242,18 @@ def _unknown_policy(tmp_path):
     return ["run", "--scenario", "recess-1.scen.json", "--policy", "nobody"]
 
 
+def _snapshot(**changes):
+    """resolve --state args for a two-agent snapshot on a 3x3 map, with the
+    given fields replaced."""
+    def make_args(tmp_path):
+        state = {"map": "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n",
+                 "positions": [[0, 0], [1, 1]], "intents": [2, 1], "svos": [45.0, 0.0]}
+        state.update(changes)
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        return ["resolve", "--state", "state.json"]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_bad_train_config, "block_threshold must be >= 0, got -1"),
     (_height_one_map, "line 2: height must be at least 2, got 1"),
@@ -256,9 +268,19 @@ def _unknown_policy(tmp_path):
     (lambda tmp_path: ["case-study", "--p-recess", "-0.2", "--episodes", "4"],
      "kind probabilities must lie in [0, 1], got -0.2 and 1.2"),
     (lambda tmp_path: ["case-study", "--episodes", "0"], "episodes must be at least 1, got 0"),
+    (_snapshot(positions=[[1, 1], [1, 1]]), "positions[1]: agents 0 and 1 share [1, 1]"),
+    (_snapshot(positions=[[0, 0], [5, 5]]), "positions[1]: [5, 5] is not a free cell of the 3x3 map"),
+    (_snapshot(positions=[[0, 0], [1.5, 1]]), "positions[1]: [1.5, 1] is not a free cell"),
+    (_snapshot(intents=[1.5, 1]), "intents[0]: 1.5 is not an action 0-4"),
+    (_snapshot(intents=[2, 7]), "intents[1]: 7 is not an action 0-4"),
+    (_snapshot(intents=[2]), "intents: need one entry per agent (2)"),
+    (_snapshot(svos=[90, 0.0]), "svos[0]: 90 is not an angle in [0, 45] degrees"),
+    (_snapshot(svos=[45.0, -1e-9]), "svos[1]: -1e-09 is not an angle in [0, 45] degrees"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
-        "zero-episodes"])
+        "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
+        "resolve-fractional-intent", "resolve-intent-7", "resolve-short-intents",
+        "resolve-svo-90", "resolve-negative-svo"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)
@@ -270,3 +292,44 @@ def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monke
     assert captured.err.startswith("svo-mapf: error: ")
     assert message in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def _write_trace(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+@pytest.mark.parametrize("ragged", [[[0, 1]], [[0, 1], [1, 1], [2, 2]]], ids=["short", "long"])
+def test_replay_adg_rejects_ragged_traces(ragged, tmp_path, capsys):
+    # a record whose positions do not match the t = 0 header is not a plan
+    trace, speeds = tmp_path / "trace.jsonl", tmp_path / "speeds.json"
+    _write_trace(trace, [{"t": 0, "positions": [[0, 0], [1, 0]]},
+                         {"t": 1, "positions": [[0, 1], [1, 1]]},
+                         {"t": 2, "positions": ragged},
+                         {"metrics": {}}])
+    speeds.write_text("[1.0, 1.0]")
+    code = cli.main(["replay-adg", "--trace", str(trace), "--speeds", str(speeds)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"svo-mapf: error: {trace} line 3: {len(ragged)} positions, "
+                            "but the t = 0 record has 2\n")
+
+
+def test_rotation_runs_but_does_not_replay(tmp_path, capsys, monkeypatch):
+    # four agents on a 2x2 map, each goal one step clockwise: the resolver and
+    # the environment accept the rotation, the ADG cannot execute it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "square.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
+    cells = [[0, 0], [0, 1], [1, 1], [1, 0]]
+    (tmp_path / "square.scen.json").write_text(json.dumps(
+        {"map": "square.map", "starts": cells, "goals": cells[1:] + cells[:1]}))
+    code, out = run_cli(["run", "--scenario", "square.scen.json", "--policy", "greedy",
+                         "--trace", "trace.jsonl"], capsys)
+    assert code == 0
+    metrics = json.loads(out.splitlines()[-1])
+    assert metrics["success"] and metrics["episode_length"] == 1
+    (tmp_path / "speeds.json").write_text("[1.0, 1.0, 1.0, 1.0]")
+    code = cli.main(["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("svo-mapf: error: robots 0, 1, 2, 3 rotate between t=0 and t=1: "
+                            "each enters the cell the next one leaves\n")

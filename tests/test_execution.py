@@ -67,6 +67,55 @@ class TestBuild:
         with pytest.raises(PlanError):
             execution.build_adg([[(0, 0), (5, 5)]])  # teleport
 
+    def test_validate_plan_rejects_non_adjacent_steps(self):
+        with pytest.raises(PlanError, match=r"plan steps \(0, 0\) -> \(0, 2\) are not 4-adjacent"):
+            execution.validate_plan([[(0, 0), (0, 2)]])
+        with pytest.raises(PlanError, match="not 4-adjacent"):
+            execution.validate_plan([[(0, 0), (0, 1)], [(3, 3), (4, 4)]])  # diagonal
+        assert execution.validate_plan([[(0, 0), (0, 1)], [(3, 3)]]) == [[(0, 0), (0, 1)],
+                                                                         [(3, 3), (3, 3)]]
+
+    # first error of each plan, recorded from build_adg before the adjacency
+    # check moved from task construction into validate_plan
+    @pytest.mark.parametrize("plan, message", [
+        ([[(0, 0), (0, 1), (1, 1)], [(0, 1), (0, 0), (0, 0)], [(3, 3), (3, 5), (1, 1)]],
+         "robots 0 and 2 share (1, 1) at t=2"),
+        ([[(0, 0), (2, 2), (2, 3)], [(5, 5), (2, 3), (2, 2)]],
+         "robots 0 and 1 swap between t=1 and t=2"),
+        ([[(0, 0), (4, 4)], [(3, 4), (4, 4)]], "robots 0 and 1 share (4, 4) at t=1"),
+        ([[(0, 0), (0, 1), (0, 2), (2, 2)], [(5, 5), (5, 7), (5, 8), (5, 9)]],
+         "plan steps (0, 2) -> (2, 2) are not 4-adjacent"),
+        ([[(0, 0), (0, 1)], [(0, 1), (1, 1)], [(1, 1), (1, 0)], [(1, 0), (0, 0), (3, 3)]],
+         "plan steps (0, 0) -> (3, 3) are not 4-adjacent"),
+        ([[(0, 0), (0, 0), (0, 1)], [(0, 1), (0, 1), (1, 1)], [(1, 1), (1, 1), (1, 0)],
+          [(1, 0), (1, 0), (0, 0)], [(5, 5), (5, 6)], [(5, 6), (5, 5)]],
+         "robots 4 and 5 swap between t=0 and t=1"),
+        ([[(0, 0), (0, 1)], [(0, 1), (1, 1)], [(1, 1), (1, 0)], [(1, 0), (0, 0)], [(1, 2), (1, 1)]],
+         "robots 1 and 4 share (1, 1) at t=1"),
+    ], ids=["vertex+swap+teleport", "swap+teleport", "vertex+teleport", "teleports",
+            "rotation+teleport", "rotation+swap", "rotation+vertex"])
+    def test_first_plan_error_unchanged(self, plan, message):
+        with pytest.raises(PlanError) as info:
+            execution.build_adg(plan)
+        assert str(info.value) == message
+
+    def test_rotation_is_a_plan_error(self):
+        # four robots on a 2x2 block, each one step clockwise: every move
+        # waits for the next one's, so the ADG has no order to run them in
+        clockwise = [[(0, 0), (0, 1)], [(0, 1), (1, 1)], [(1, 1), (1, 0)], [(1, 0), (0, 0)]]
+        with pytest.raises(PlanError) as info:
+            execution.build_adg(clockwise)
+        assert str(info.value) == ("robots 0, 1, 2, 3 rotate between t=0 and t=1: "
+                                   "each enters the cell the next one leaves")
+        # the same rotation one step later, listed out of cycle order, beside
+        # a convoy (a chain of followers, not a cycle): the message names the
+        # rotation's robots along the cycle, from the lowest id
+        convoy = [[(4, c), (4, c), (4, c + 1)] for c in range(3)]
+        rotation = [[p[0]] + p for p in (clockwise[0], clockwise[2], clockwise[1], clockwise[3])]
+        execution.build_adg(convoy)
+        with pytest.raises(PlanError, match="^robots 3, 5, 4, 6 rotate between t=1 and t=2"):
+            execution.build_adg(convoy + rotation)
+
     def test_random_plans_acyclic_and_ordered(self):
         for trial in range(40):
             paths = random_plan(derive_seed(1000, trial))
@@ -82,6 +131,14 @@ class TestBuild:
                 assert times == sorted(times)
                 for (t0, _, vac0), (t1, ent1, _) in zip(visits, visits[1:]):
                     assert rank[vac0] < rank[ent1]
+
+
+def test_dependents_match_a_scan_of_dependencies():
+    for trial in range(10):
+        graph = execution.build_adg(random_plan(derive_seed(2000, trial)))
+        want = [[t.task_id for t in graph.tasks if k in t.dependencies]
+                for k in range(len(graph.tasks))]
+        assert execution._dependents(graph) == want
 
 
 class TestSimulate:
@@ -145,7 +202,7 @@ class TestSimulate:
 
 
 def test_status_machine_forward_only():
-    task = execution.AdgTask(0, 0, 0, (0, 0), (0, 0), 0)
+    task = execution.AdgTask(0, 0, 0)
     with pytest.raises(AdgError):
         task.advance(DONE)  # cannot skip ENQUEUED
     task.advance(ENQUEUED)

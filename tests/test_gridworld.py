@@ -33,7 +33,7 @@ class TestStepRewards:
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
         out = env.step(np.array([IDLE]))
         assert out.rewards[0] == 0.0
-        assert out.all_done and env.success
+        assert env.terminated and env.success
 
     def test_goal_parking_blocking_two_agents(self):
         # agent 0 idles on its goal mid-corridor; agents 1 and 2 need to pass
@@ -82,8 +82,8 @@ class TestStepContract:
     def test_episode_length_cap(self):
         env = Gridworld(corridor_scenario(), EnvConfig(max_episode_length=3, blocking_rewards=False))
         for _ in range(3):
-            out = env.step(np.array([IDLE]))
-        assert out.all_done and env.terminated and not env.success
+            env.step(np.array([IDLE]))
+        assert env.terminated and not env.success
 
 
 class TestBlocking:

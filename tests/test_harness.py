@@ -113,14 +113,17 @@ class TestScriptedPolicies:
 
     def test_ishape_heterogeneous_solves(self):
         scn = mapgen.gen_corridor("i_shape", 6, seed=4)
+        records = []
         result = harness.run_episode(scn, harness.HeterogeneousScriptedPolicy(),
-                                     EnvConfig(blocking_rewards=False))
+                                     EnvConfig(blocking_rewards=False),
+                                     trace_writer=records.append)
         assert result.metrics.goals_reached == 2
         assert result.metrics.success
         # the prosocial role went to the lower-indexed agent
-        flat = [z for step in result.metrics.svo_trace for z in [step[0]]]
+        svo_trace = [r["svos"] for r in records]
+        flat = [z for step in svo_trace for z in [step[0]]]
         assert 45.0 in flat
-        assert all(step[1] == 0.0 for step in result.metrics.svo_trace)
+        assert all(step[1] == 0.0 for step in svo_trace)
 
     def test_recess_heterogeneous_uses_refuge(self):
         scn = mapgen.gen_corridor("recess", 9, seed=2)
@@ -164,9 +167,10 @@ class TestScriptedPolicies:
         # a blocking-on hetero episode on a 32x32 room map caches one field
         # per goal at most: no field per visited start cell or per refuge
         scn = mapgen.gen_room(32, 32, 16, seed=3)
-        result = harness.run_episode(scn, harness.HeterogeneousScriptedPolicy(),
-                                     EnvConfig(max_episode_length=32))
-        assert any(45.0 in step for step in result.metrics.svo_trace)  # somebody retreated
+        records = []
+        harness.run_episode(scn, harness.HeterogeneousScriptedPolicy(),
+                            EnvConfig(max_episode_length=32), trace_writer=records.append)
+        assert any(45.0 in r["svos"] for r in records)  # somebody retreated
         assert set(scn.grid._goal_cache) <= set(scn.goals)
 
     def test_policy_step_from_make_policy(self):
