@@ -83,6 +83,10 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _check_snapshot(grid, state) -> None:
     """Reject what resolve would misread: shared or blocked cells, intents
     outside the five actions, and SVO angles outside [0, 45] degrees."""
@@ -105,14 +109,16 @@ def _check_snapshot(grid, state) -> None:
         if not (_is_int(a) and 0 <= a <= 4):
             raise ValueError(f"intents[{i}]: {a} is not an action 0-4")
     for i, z in enumerate(svos):
-        if not (isinstance(z, (int, float)) and not isinstance(z, bool)
-                and math.isfinite(z) and 0 <= z <= 45):
+        if not (_is_number(z) and 0 <= z <= 45):
             raise ValueError(f"svos[{i}]: {z} is not an angle in [0, 45] degrees")
 
 
 def _cmd_resolve(args) -> int:
     with open(args.state) as f:
         state = json.load(f)
+    if not isinstance(state, dict):
+        raise ValueError(f"{args.state}: need a JSON object with map, positions, intents "
+                         f"and svos, got {type(state).__name__}")
     map_ref = state["map"]
     if "\n" in map_ref:
         grid = mapgen.read_map(map_ref)
@@ -152,6 +158,11 @@ def _cmd_train(args) -> int:
             print(json.dumps(row, sort_keys=True), file=sys.stderr)
 
     result = learner.train(cfg, progress=progress)
+    if result.diverged_at is not None:
+        kept = (f"the parameters of iteration {result.diverged_at - 1}"
+                if result.diverged_at > 1 else "the initial parameters")
+        print(f"svo-mapf: training diverged in iteration {result.diverged_at} "
+              f"({result.divergence}); saved {kept}", file=sys.stderr)
     ckpt = os.path.join(args.out, "checkpoint.json")
     learner.save_checkpoint(ckpt, result.params, cfg)
     curve_path = os.path.join(args.out, "curve.csv")
@@ -221,18 +232,29 @@ def _cmd_replay_adg(args) -> int:
     with open(args.trace) as f:
         for lineno, line in enumerate(f, 1):
             record = json.loads(line)
-            if "positions" not in record or record["positions"] is None:
+            positions = record.get("positions") if isinstance(record, dict) else None
+            if positions is None:
                 continue
-            positions = record["positions"]
+            if not isinstance(positions, list):
+                raise ValueError(f"{args.trace} line {lineno}: positions must be a list")
             if paths is None:
                 paths = [[] for _ in positions]
             elif len(positions) != len(paths):
                 raise ValueError(f"{args.trace} line {lineno}: {len(positions)} positions, "
                                  f"but the t = 0 record has {len(paths)}")
             for path, pos in zip(paths, positions):
+                if not (isinstance(pos, list) and len(pos) == 2 and all(map(_is_int, pos))):
+                    raise ValueError(f"{args.trace} line {lineno}: position {pos!r} is not a "
+                                     "[row, col] pair of integers")
                 path.append(tuple(pos))
     with open(args.speeds) as f:
         speeds = json.load(f)
+    if not isinstance(speeds, list):
+        raise ValueError(f"{args.speeds}: need a JSON array of speed multipliers, "
+                         f"got {type(speeds).__name__}")
+    for i, m in enumerate(speeds):
+        if not _is_number(m):
+            raise ValueError(f"{args.speeds}: speed {i} ({m!r}) is not a finite number")
     graph = execution.build_adg(paths or [])
     log = execution.simulate_execution(graph, speeds, jitter_seed=args.seed,
                                        jitter_amplitude=args.jitter)

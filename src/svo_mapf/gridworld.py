@@ -11,6 +11,7 @@ resolver-assigned collision penalty, and the blocking penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -44,6 +45,10 @@ class EnvConfig:
     blocking_rewards: bool = True
 
     def __post_init__(self):
+        # The field of view is centred on the agent, so it needs a middle cell.
+        if not (isinstance(self.fov, Integral) and not isinstance(self.fov, bool)
+                and self.fov > 0 and self.fov % 2 == 1):
+            raise ValueError(f"fov must be a positive odd integer, got {self.fov!r}")
         # A negative threshold would count a cell on only some shortest paths
         # as blocking: no detour is shorter than the shortest path.
         if self.block_threshold < 0:
@@ -190,6 +195,19 @@ def detect_blocking(env: Gridworld, agent: int) -> int:
     return count
 
 
+def _obstacle_plane(grid, pad: int) -> np.ndarray:
+    """The map's obstacles as 1.0 (free cells 0.0) inside a ring of pad
+    obstacle cells, so every window around a cell is one slice. Cached per pad
+    on the map."""
+    plane = grid._obstacle_planes.get(pad)
+    if plane is None:
+        plane = np.ones((grid.height + 2 * pad, grid.width + 2 * pad))
+        plane[pad:pad + grid.height, pad:pad + grid.width] = grid.obstacles
+        plane.flags.writeable = False
+        grid._obstacle_planes[pad] = plane
+    return plane
+
+
 def observe(env: Gridworld, agent: int) -> np.ndarray:
     """Fixed-length observation vector for one agent.
 
@@ -204,28 +222,8 @@ def observe(env: Gridworld, agent: int) -> np.ndarray:
     fov = cfg.fov
     half = fov // 2
     r0, c0 = env.positions[agent]
-    occupancy = np.zeros((fov, fov))
-    others = np.zeros((fov, fov))
-    heuristic = np.zeros((fov, fov))
-
-    occupied = {pos: i for i, pos in enumerate(env.positions)}
     dist = distance_field(env.grid, env.goals[agent])
     d0 = int(dist[r0, c0])
-    h_half = cfg.fov_heuristic // 2
-    for dr in range(-half, half + 1):
-        for dc in range(-half, half + 1):
-            r, c = r0 + dr, c0 + dc
-            fr, fc = dr + half, dc + half
-            if not env.grid.is_free(r, c):
-                occupancy[fr, fc] = 1.0
-                continue
-            j = occupied.get((r, c))
-            if j is not None and j != agent:
-                others[fr, fc] = 1.0
-            if abs(dr) <= h_half and abs(dc) <= h_half and d0 != UNREACHABLE:
-                d = int(dist[r, c])
-                if d != UNREACHABLE and d < d0:
-                    heuristic[fr, fc] = 1.0
 
     gr, gc = env.goals[agent]
     dr, dc = gr - r0, gc - c0
@@ -241,7 +239,21 @@ def observe(env: Gridworld, agent: int) -> np.ndarray:
     pr, pc = env.positions[partner]
     off = [max(-half, min(half, pr - r0)) / max(1, half),
            max(-half, min(half, pc - c0)) / max(1, half)]
-    return np.concatenate([
-        occupancy.ravel(), others.ravel(), heuristic.ravel(),
-        np.array(goal_vec), env.svo[agent], env.svo[partner], np.array(off),
-    ])
+    tail = goal_vec + env.svo[agent].tolist() + env.svo[partner].tolist() + off
+
+    obs = np.zeros(3 * fov * fov + len(tail))
+    obs[3 * fov * fov:] = tail
+    occupancy, others, heuristic = obs[:3 * fov * fov].reshape(3, fov, fov)
+    occupancy[:] = _obstacle_plane(env.grid, half)[r0:r0 + fov, c0:c0 + fov]
+    for j, (r, c) in enumerate(env.positions):
+        if j != agent and abs(r - r0) <= half and abs(c - c0) <= half:
+            others[r - r0 + half, c - c0 + half] = 1.0
+    # the descent window: free cells (obstacles hold UNREACHABLE) within
+    # fov_heuristic // 2 of the agent and strictly closer to the goal
+    h_half = min(cfg.fov_heuristic // 2, half)
+    if h_half > 0 and d0 != UNREACHABLE:
+        top, left = max(r0 - h_half, 0), max(c0 - h_half, 0)
+        window = dist[top:r0 + h_half + 1, left:c0 + h_half + 1]
+        row, col = top - r0 + half, left - c0 + half
+        heuristic[row:row + window.shape[0], col:col + window.shape[1]] = (window >= 0) & (window < d0)
+    return obs

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from . import social
-from .gridworld import EnvConfig, Gridworld, observe, obs_length
+from .gridworld import EnvConfig, Gridworld, _obstacle_plane, obs_length, observe
 from .harness import episode_steps
 from .mapgen import sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
@@ -89,20 +89,25 @@ def init_params(obs_dim: int, hidden: int, svo_bins: int, seed: int, scale: floa
 
 
 def params_to_vector(params: dict) -> np.ndarray:
-    return np.concatenate([np.asarray(params[k]).ravel() for k in PARAM_KEYS])
+    return np.concatenate([np.ravel(params[k]) for k in PARAM_KEYS], dtype=np.float64)
 
 
-def vector_to_params(vec: np.ndarray, template: dict) -> dict:
+def _param_views(vec: np.ndarray, template: dict) -> dict:
+    """Named views (no copies) into a flat vector laid out like params_to_vector."""
     out = {}
     offset = 0
     for k in PARAM_KEYS:
-        shape = np.asarray(template[k]).shape
-        size = int(np.prod(shape)) if shape else 1
-        out[k] = vec[offset:offset + size].reshape(shape).copy()
+        shape = np.shape(template[k])
+        size = math.prod(shape)
+        out[k] = vec[offset:offset + size].reshape(shape)
         offset += size
     if offset != vec.size:
         raise ValueError("parameter vector size mismatch")
     return out
+
+
+def vector_to_params(vec: np.ndarray, template: dict) -> dict:
+    return {k: v.copy() for k, v in _param_views(vec, template).items()}
 
 
 def forward(params: dict, obs: np.ndarray) -> dict:
@@ -121,8 +126,8 @@ def forward(params: dict, obs: np.ndarray) -> dict:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -152,7 +157,11 @@ def gae_advantages(rewards, values, gamma: float, lam: float, bootstrap: float =
 
 @dataclass
 class RolloutBatch:
-    """Flattened per-(step, agent) training samples."""
+    """Flattened per-(step, agent) training samples.
+
+    The loss reads the first twelve fields; alpha and the three reward
+    streams are bookkeeping that minibatches leave out.
+    """
 
     obs: np.ndarray
     actions: np.ndarray
@@ -166,41 +175,42 @@ class RolloutBatch:
     valid_mask: np.ndarray
     blocking_label: np.ndarray
     z_exp: np.ndarray
-    alpha: np.ndarray
-    reward_action: np.ndarray
-    reward_svo: np.ndarray
-    reward_external: np.ndarray
+    alpha: np.ndarray | None = None
+    reward_action: np.ndarray | None = None
+    reward_svo: np.ndarray | None = None
+    reward_external: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.actions)
 
-    def subset(self, idx) -> "RolloutBatch":
-        return RolloutBatch(**{k: getattr(self, k)[idx] for k in self.__dataclass_fields__})
+    def minibatch(self, idx) -> "RolloutBatch":
+        """The samples at idx, with only the fields the loss reads."""
+        return RolloutBatch(self.obs[idx], self.actions[idx], self.svo_bins[idx],
+                            self.logp_act_old[idx], self.logp_svo_old[idx],
+                            self.adv_action[idx], self.adv_svo[idx],
+                            self.ret_action[idx], self.ret_svo[idx],
+                            self.valid_mask[idx], self.blocking_label[idx], self.z_exp[idx])
 
 
-def smp3o_loss(params: dict, batch: RolloutBatch, cfg: SmpConfig) -> tuple[float, dict]:
-    loss, _, diag = smp3o_loss_and_grad(params, batch, cfg, want_grad=False)
-    return loss, diag
+LOSS_TERMS = ("loss_pi_act", "loss_pi_svo", "mse_value_act", "mse_value_svo",
+              "entropy_act", "entropy_svo", "loss_stability", "loss_valid", "loss_blocking")
 
 
-def smp3o_loss_and_grad(params: dict, batch: RolloutBatch, cfg: SmpConfig,
-                        want_grad: bool = True) -> tuple[float, dict | None, dict]:
-    """Total objective, analytic parameter gradients, and per-term diagnostics.
+def _objective(params: dict, batch: RolloutBatch, cfg: SmpConfig):
+    """The forward half of the loss: the total, its nine terms (LOSS_TERMS
+    order) and the intermediates the backward half reads, policy ratios
+    first.
 
-    total = -policy * (L_act + L_svo)                 (clipped surrogates,
-                                                       cross-utilized advantages)
-            + value * (mse_va + mse_vs)
-            - entropy * (H_act + H_svo)
-            + stability * bce(svo_dist, z_exp)
-            + valid * (-log mass on valid actions)
-            + blocking * bce(sigmoid(blk), label)
+    Every mean is a sum divided by B and every negated mean a negated sum:
+    the same bits as numpy's mean, in fewer calls. Raises TrainingDiverged,
+    naming the terms, when the total is not finite.
     """
-    out = forward(params, batch.obs)
-    B = len(batch)
+    fwd = forward(params, batch.obs)
+    B = len(batch.actions)
     rows = np.arange(B)
 
-    lp_act = log_softmax(out["logits_act"])
-    lp_svo = log_softmax(out["logits_svo"])
+    lp_act = log_softmax(fwd["logits_act"])
+    lp_svo = log_softmax(fwd["logits_svo"])
     p_act = np.exp(lp_act)
     p_svo = np.exp(lp_svo)
 
@@ -210,33 +220,38 @@ def smp3o_loss_and_grad(params: dict, batch: RolloutBatch, cfg: SmpConfig,
     ratio_svo = np.exp(lp_svo[rows, batch.svo_bins] - batch.logp_svo_old)
     lo, hi = 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps
     surr_act_raw = ratio_act * batch.adv_svo
-    surr_act_clip = np.clip(ratio_act, lo, hi) * batch.adv_svo
-    surr_act = np.minimum(surr_act_raw, surr_act_clip)
+    surr_act_clip = np.minimum(np.maximum(ratio_act, lo), hi) * batch.adv_svo
     surr_svo_raw = ratio_svo * batch.adv_action
-    surr_svo_clip = np.clip(ratio_svo, lo, hi) * batch.adv_action
-    surr_svo = np.minimum(surr_svo_raw, surr_svo_clip)
-    loss_pi_act = surr_act.mean()
-    loss_pi_svo = surr_svo.mean()
+    surr_svo_clip = np.minimum(np.maximum(ratio_svo, lo), hi) * batch.adv_action
+    loss_pi_act = np.add.reduce(np.minimum(surr_act_raw, surr_act_clip)) / B
+    loss_pi_svo = np.add.reduce(np.minimum(surr_svo_raw, surr_svo_clip)) / B
 
-    err_va = out["value_act"] - batch.ret_action
-    err_vs = out["value_svo"] - batch.ret_svo
-    mse_va = float((err_va ** 2).mean())
-    mse_vs = float((err_vs ** 2).mean())
+    err_va = fwd["value_act"] - batch.ret_action
+    err_vs = fwd["value_svo"] - batch.ret_svo
+    mse_va = np.add.reduce(err_va * err_va) / B
+    mse_vs = np.add.reduce(err_vs * err_vs) / B
 
-    ent_act = float((-(p_act * lp_act).sum(axis=1)).mean())
-    ent_svo = float((-(p_svo * lp_svo).sum(axis=1)).mean())
+    # row sums of p log p: the negated entropies
+    plogp_act = np.add.reduce(p_act * lp_act, axis=1)
+    plogp_svo = np.add.reduce(p_svo * lp_svo, axis=1)
+    ent_act = -np.add.reduce(plogp_act) / B
+    ent_svo = -np.add.reduce(plogp_svo) / B
 
     # SVO stability: elementwise binary cross entropy against the blend target.
     t = batch.z_exp
-    stab_terms = -(t * np.log(p_svo + _EPS) + (1.0 - t) * np.log(1.0 - p_svo + _EPS))
-    loss_stab = float(stab_terms.sum(axis=1).mean())
+    not_t = 1.0 - t
+    p_eps = p_svo + _EPS
+    q_eps = 1.0 - p_svo + _EPS
+    stab = t * np.log(p_eps) + not_t * np.log(q_eps)
+    loss_stab = -np.add.reduce(np.add.reduce(stab, axis=1)) / B
 
-    valid_mass = (p_act * batch.valid_mask).sum(axis=1)
-    loss_valid = float((-np.log(valid_mass + _EPS)).mean())
+    valid_mass = np.add.reduce(p_act * batch.valid_mask, axis=1) + _EPS
+    loss_valid = -np.add.reduce(np.log(valid_mass)) / B
 
-    blk_prob = 1.0 / (1.0 + np.exp(-out["logit_blk"]))
+    blk_prob = 1.0 / (1.0 + np.exp(-fwd["logit_blk"]))
     y = batch.blocking_label
-    loss_blk = float(-(y * np.log(blk_prob + _EPS) + (1.0 - y) * np.log(1.0 - blk_prob + _EPS)).mean())
+    bce = y * np.log(blk_prob + _EPS) + (1.0 - y) * np.log(1.0 - blk_prob + _EPS)
+    loss_blk = -np.add.reduce(bce) / B
 
     total = (
         -cfg.policy_coef * (loss_pi_act + loss_pi_svo)
@@ -246,85 +261,104 @@ def smp3o_loss_and_grad(params: dict, batch: RolloutBatch, cfg: SmpConfig,
         + cfg.valid_coef * loss_valid
         + cfg.blocking_coef * loss_blk
     )
-    diagnostics = {
-        "loss_pi_act": float(loss_pi_act), "loss_pi_svo": float(loss_pi_svo),
-        "mse_value_act": mse_va, "mse_value_svo": mse_vs,
-        "entropy_act": ent_act, "entropy_svo": ent_svo,
-        "loss_stability": loss_stab, "loss_valid": loss_valid,
-        "loss_blocking": loss_blk, "total": float(total),
-        "ratio_act_mean": float(ratio_act.mean()), "ratio_svo_mean": float(ratio_svo.mean()),
-    }
-    if not np.isfinite(total):
-        raise TrainingDiverged(f"non-finite loss; diagnostics: {diagnostics}")
-    if not want_grad:
-        return float(total), None, diagnostics
+    terms = (loss_pi_act, loss_pi_svo, mse_va, mse_vs, ent_act, ent_svo,
+             loss_stab, loss_valid, loss_blk)
+    if not math.isfinite(total):
+        raise TrainingDiverged(
+            f"non-finite loss; diagnostics: {_diagnostics(total, terms, ratio_act, ratio_svo)}")
+    cache = (ratio_act, ratio_svo, fwd, rows, lp_act, lp_svo, p_act, p_svo,
+             surr_act_raw <= surr_act_clip, surr_svo_raw <= surr_svo_clip,
+             err_va, err_vs, plogp_act, plogp_svo, not_t, p_eps, q_eps, valid_mass, blk_prob)
+    return float(total), terms, cache
 
-    # ---- backward ----
-    d_logits_act = np.zeros_like(p_act)
-    d_logits_svo = np.zeros_like(p_svo)
+
+def _diagnostics(total, terms, ratio_act, ratio_svo) -> dict:
+    diagnostics = {name: float(value) for name, value in zip(LOSS_TERMS, terms)}
+    diagnostics["total"] = float(total)
+    diagnostics["ratio_act_mean"] = float(ratio_act.mean())
+    diagnostics["ratio_svo_mean"] = float(ratio_svo.mean())
+    return diagnostics
+
+
+def smp3o_loss(params: dict, batch: RolloutBatch, cfg: SmpConfig) -> tuple[float, dict]:
+    """Total objective and its per-term diagnostics (LOSS_TERMS, the total and
+    the mean policy ratios)."""
+    total, terms, cache = _objective(params, batch, cfg)
+    ratio_act, ratio_svo = cache[:2]
+    return total, _diagnostics(total, terms, ratio_act, ratio_svo)
+
+
+def smp3o_loss_and_grad(params: dict, batch: RolloutBatch, cfg: SmpConfig,
+                        grads: dict | None = None) -> tuple[float, dict]:
+    """Total objective and its analytic parameter gradients, written into
+    grads (arrays shaped like params) when given.
+
+    total = -policy * (L_act + L_svo)                 (clipped surrogates,
+                                                       cross-utilized advantages)
+            + value * (mse_va + mse_vs)
+            - entropy * (H_act + H_svo)
+            + stability * bce(svo_dist, z_exp)
+            + valid * (-log mass on valid actions)
+            + blocking * bce(sigmoid(blk), label)
+    """
+    total, _, cache = _objective(params, batch, cfg)
+    (ratio_act, ratio_svo, fwd, rows, lp_act, lp_svo, p_act, p_svo, act_pass, svo_pass,
+     err_va, err_vs, plogp_act, plogp_svo, not_t, p_eps, q_eps, valid_mass, blk_prob) = cache
+    B = len(rows)
 
     # policy surrogates: d surr / d logp(chosen) is ratio * adv on the active
-    # branch; the clipped branch only passes gradient while inside the window.
-    act_unclipped = surr_act_raw <= surr_act_clip
-    act_pass = np.where(act_unclipped, 1.0, ((ratio_act > lo) & (ratio_act < hi)).astype(float))
-    d_lp_chosen_act = -cfg.policy_coef / B * act_pass * ratio_act * batch.adv_svo
-    svo_unclipped = surr_svo_raw <= surr_svo_clip
-    svo_pass = np.where(svo_unclipped, 1.0, ((ratio_svo > lo) & (ratio_svo < hi)).astype(float))
-    d_lp_chosen_svo = -cfg.policy_coef / B * svo_pass * ratio_svo * batch.adv_action
+    # branch. The clipped branch passes gradient only while the ratio is
+    # inside the window, and there it equals the raw branch, which min keeps.
+    c_pi = -cfg.policy_coef / B
+    d_lp_chosen_act = c_pi * act_pass * ratio_act * batch.adv_svo
+    d_lp_chosen_svo = c_pi * svo_pass * ratio_svo * batch.adv_action
     # d logp(a) / d logits = onehot(a) - p
-    onehot_act = np.zeros_like(p_act)
-    onehot_act[rows, batch.actions] = 1.0
-    onehot_svo = np.zeros_like(p_svo)
-    onehot_svo[rows, batch.svo_bins] = 1.0
-    d_logits_act += d_lp_chosen_act[:, None] * (onehot_act - p_act)
-    d_logits_svo += d_lp_chosen_svo[:, None] * (onehot_svo - p_svo)
+    onehot_act = batch.actions[:, None] == np.arange(p_act.shape[1])
+    onehot_svo = batch.svo_bins[:, None] == np.arange(p_svo.shape[1])
+    d_logits_act = d_lp_chosen_act[:, None] * (onehot_act - p_act)
+    d_logits_svo = d_lp_chosen_svo[:, None] * (onehot_svo - p_svo)
 
-    # entropy: dH/dz_k = -p_k (log p_k + H)
-    h_act = -(p_act * lp_act).sum(axis=1, keepdims=True)
-    h_svo = -(p_svo * lp_svo).sum(axis=1, keepdims=True)
-    d_logits_act += -cfg.entropy_coef / B * (-(p_act * (lp_act + h_act)))
-    d_logits_svo += -cfg.entropy_coef / B * (-(p_svo * (lp_svo + h_svo)))
+    # entropy bonus: dH/dz_k = -p_k (log p_k + H) and H = -sum_j p_j log p_j
+    c_ent = cfg.entropy_coef / B
+    d_logits_act += c_ent * (p_act * (lp_act - plogp_act[:, None]))
+    d_logits_svo += c_ent * (p_svo * (lp_svo - plogp_svo[:, None]))
 
     # stability bce through softmax: dL/dz_k = p_k (g_k - sum_j p_j g_j)
-    g = (-t / (p_svo + _EPS) + (1.0 - t) / (1.0 - p_svo + _EPS))
-    s = (p_svo * g).sum(axis=1, keepdims=True)
-    d_logits_svo += cfg.stability_coef / B * p_svo * (g - s)
+    g = not_t / q_eps - batch.z_exp / p_eps
+    s = np.add.reduce(p_svo * g, axis=1)
+    d_logits_svo += cfg.stability_coef / B * p_svo * (g - s[:, None])
 
     # valid-mass loss: dL/dz_k = -p_k (m_k - q) / q
-    q = valid_mass + _EPS
-    d_logits_act += cfg.valid_coef / B * (-(p_act * (batch.valid_mask - q[:, None])) / q[:, None])
+    q = valid_mass[:, None]
+    d_logits_act -= cfg.valid_coef / B * (p_act * (batch.valid_mask - q) / q)
 
     d_va = cfg.value_coef / B * 2.0 * err_va
     d_vs = cfg.value_coef / B * 2.0 * err_vs
-    d_blk = cfg.blocking_coef / B * (blk_prob - y)
+    d_blk = cfg.blocking_coef / B * (blk_prob - batch.blocking_label)
 
-    hidden = out["hidden"]
-    d_hidden = (
-        d_logits_act @ params["w_act"].T
-        + d_logits_svo @ params["w_svo"].T
-        + d_va[:, None] * params["w_va"][None, :]
-        + d_vs[:, None] * params["w_vs"][None, :]
-        + d_blk[:, None] * params["w_blk"][None, :]
-    )
-    d_pre = d_hidden * (1.0 - hidden ** 2)
-    grads = {
-        "w_in": batch.obs.T @ d_pre,
-        "b_in": d_pre.sum(axis=0),
-        "w_act": hidden.T @ d_logits_act,
-        "b_act": d_logits_act.sum(axis=0),
-        "w_svo": hidden.T @ d_logits_svo,
-        "b_svo": d_logits_svo.sum(axis=0),
-        "w_va": hidden.T @ d_va,
-        "b_va": np.array([d_va.sum()]),
-        "w_vs": hidden.T @ d_vs,
-        "b_vs": np.array([d_vs.sum()]),
-        "w_blk": hidden.T @ d_blk,
-        "b_blk": np.array([d_blk.sum()]),
-    }
-    return float(total), grads, diagnostics
+    hidden = fwd["hidden"]
+    d_hidden = d_logits_act @ params["w_act"].T
+    d_hidden += d_logits_svo @ params["w_svo"].T
+    d_hidden += np.multiply.outer(d_va, params["w_va"])
+    d_hidden += np.multiply.outer(d_vs, params["w_vs"])
+    d_hidden += np.multiply.outer(d_blk, params["w_blk"])
+    d_pre = d_hidden * (1.0 - hidden * hidden)
+    if grads is None:
+        grads = {k: np.empty(np.shape(params[k])) for k in PARAM_KEYS}
+    hidden_t = hidden.T
+    np.matmul(batch.obs.T, d_pre, out=grads["w_in"])
+    np.add.reduce(d_pre, axis=0, out=grads["b_in"])
+    np.matmul(hidden_t, d_logits_act, out=grads["w_act"])
+    np.add.reduce(d_logits_act, axis=0, out=grads["b_act"])
+    np.matmul(hidden_t, d_logits_svo, out=grads["w_svo"])
+    np.add.reduce(d_logits_svo, axis=0, out=grads["b_svo"])
+    for head, d_head in (("va", d_va), ("vs", d_vs), ("blk", d_blk)):
+        np.matmul(hidden_t, d_head, out=grads["w_" + head])
+        np.add.reduce(d_head, keepdims=True, out=grads["b_" + head])
+    return total, grads
 
 
-def _sample_categorical(rng: SplitMix64, probs: np.ndarray) -> int:
+def _sample_categorical(rng: SplitMix64, probs) -> int:
     u = rng.random()
     acc = 0.0
     for i, p in enumerate(probs):
@@ -334,13 +368,14 @@ def _sample_categorical(rng: SplitMix64, probs: np.ndarray) -> int:
     return len(probs) - 1
 
 
-def static_valid_mask(grid, pos) -> np.ndarray:
-    mask = np.zeros(N_ACTIONS)
-    for a in range(N_ACTIONS):
-        dr, dc = ACTION_DELTAS[a]
-        if grid.is_free(pos[0] + dr, pos[1] + dc):
-            mask[a] = 1.0
-    return mask
+_MOVE_ROWS = np.array([ACTION_DELTAS[a][0] for a in range(N_ACTIONS)])
+_MOVE_COLS = np.array([ACTION_DELTAS[a][1] for a in range(N_ACTIONS)])
+
+
+def static_valid_mask(grid, positions) -> np.ndarray:
+    """(n, N_ACTIONS): 1.0 where the action's target cell is free, per agent."""
+    pos = np.array(positions) + 1   # into the plane padded by one obstacle ring
+    return 1.0 - _obstacle_plane(grid, 1)[pos[:, :1] + _MOVE_ROWS, pos[:, 1:] + _MOVE_COLS]
 
 
 @dataclass
@@ -377,11 +412,11 @@ class SamplingPolicy:
         self.lp_svo = log_softmax(self.out["logits_svo"])
         p_act = np.exp(self.lp_act)
         self.p_svo = np.exp(self.lp_svo)
-        self.svo_bins = np.array([_sample_categorical(self.rng, self.p_svo[i]) for i in range(n)],
+        self.svo_bins = np.array([_sample_categorical(self.rng, p) for p in self.p_svo.tolist()],
                                  dtype=np.int64)
-        self.actions = np.array([_sample_categorical(self.rng, p_act[i]) for i in range(n)],
+        self.actions = np.array([_sample_categorical(self.rng, p) for p in p_act.tolist()],
                                 dtype=np.int64)
-        self.valid_mask = np.stack([static_valid_mask(env.grid, env.positions[i]) for i in range(n)])
+        self.valid_mask = static_valid_mask(env.grid, env.positions)
         env.choose_svo(self.svo_bins)
         return self.actions, self.angles[self.svo_bins]
 
@@ -410,13 +445,13 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, sampler,
         for step in episode_steps(env, policy):
             rewards = step.outcome.rewards
             ep_external += float(rewards.sum())
+            own, svo_deg, overlap = rewards.tolist(), step.svo_deg.tolist(), step.overlap.matrix
             split, alpha, z_exp = [], [], []
-            for i in range(n):
-                p = int(env.partners[i])
+            for i, p in enumerate(env.partners.tolist()):
                 split.append(social.redistribute_rewards(
-                    rewards[i], rewards[p], float(step.svo_deg[i]), env_cfg.svo_importance))
+                    own[i], own[p], svo_deg[i], env_cfg.svo_importance))
                 a, z = social.stability_target(
-                    policy.p_svo[i], z_prev[i], step.overlap.matrix[i, p], env_cfg.overlap_cap)
+                    policy.p_svo[i], z_prev[i], overlap[i, p], env_cfg.overlap_cap)
                 alpha.append(a)
                 z_exp.append(z)
             ep.append({
@@ -530,57 +565,80 @@ class TrainResult:
     params: dict
     curve: list[dict]          # per-iteration {iteration, env_steps, mean_reward, goals, ep_len}
     config: TrainConfig
+    # The iteration whose update went non-finite and why (the TrainingDiverged
+    # message); training stopped there with the previous iteration's params.
+    diverged_at: int | None = None
+    divergence: str = ""
 
 
 def clip_gradients(grads: dict, max_norm: float) -> float:
-    total = math.sqrt(sum(float((np.asarray(g) ** 2).sum()) for g in grads.values()))
+    """Scale the gradients in place to a joint L2 norm of at most max_norm;
+    return the norm before scaling. The norm is not finite when a gradient is
+    not, or when finite gradients' squared norm overflows (they scale to 0)."""
+    total = math.sqrt(sum([float(np.add.reduce(g * g, None)) for g in grads.values()]))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for k in grads:
-            grads[k] = grads[k] * scale
+        for g in grads.values():
+            g *= scale
     return total
 
 
 def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainResult:
     """Iterate rollout collection and minibatched momentum-SGD epochs.
 
-    Deterministic for a fixed config and seed. Divergence (non-finite loss or
-    gradients) aborts, keeping the parameters from the previous iteration.
+    Deterministic for a fixed config and seed. The parameters train as views
+    into one flat vector (a copy: the caller's arrays never change).
+    Divergence (non-finite loss or gradients) aborts before the update,
+    keeping the parameters from the previous iteration, and is recorded in
+    the result.
     """
+    smp = cfg.smp
     obs_dim = obs_length(cfg.env.fov, cfg.env.svo_bins)
     if params is None:
-        params = init_params(obs_dim, cfg.smp.hidden, cfg.env.svo_bins,
+        params = init_params(obs_dim, smp.hidden, cfg.env.svo_bins,
                              derive_seed(cfg.seed, 0), cfg.param_scale)
     sampler = CorridorCurriculum(cfg.p_recess, cfg.corridor_lengths, derive_seed(cfg.seed, 1))
     rollout_rng = SplitMix64(derive_seed(cfg.seed, 2))
     shuffle_rng = SplitMix64(derive_seed(cfg.seed, 3))
-    velocity = {k: np.zeros_like(np.asarray(v), dtype=np.float64) for k, v in params.items()}
+    flat = params_to_vector(params)
+    params = _param_views(flat, params)
+    grad = np.empty_like(flat)
+    grads = _param_views(grad, params)
+    velocity = np.zeros_like(flat)
+    step = np.empty_like(flat)
     curve: list[dict] = []
     env_steps = 0
     iteration = 0
-    last_good = {k: np.array(v, copy=True) for k, v in params.items()}
+    last_good = flat.copy()
+    diverged_at, divergence = None, ""
     while env_steps < cfg.total_env_steps:
-        batch, stats = collect_rollout(params, cfg.smp, cfg.env, sampler,
+        batch, stats = collect_rollout(params, smp, cfg.env, sampler,
                                        cfg.rollout_steps, rollout_rng)
         env_steps += stats["env_steps"]
         try:
-            for _ in range(cfg.smp.epochs):
-                order = list(range(len(batch)))
-                shuffle_rng.shuffle(order)
-                for lo in range(0, len(order), cfg.smp.minibatch):
-                    idx = np.array(order[lo:lo + cfg.smp.minibatch])
-                    _, grads, _ = smp3o_loss_and_grad(params, batch.subset(idx), cfg.smp)
-                    for g in grads.values():
-                        if not np.all(np.isfinite(g)):
+            # a diverging update is reported through the result, not warned about
+            with np.errstate(all="ignore"):
+                for _ in range(smp.epochs):
+                    order = list(range(len(batch)))
+                    shuffle_rng.shuffle(order)
+                    order = np.array(order)
+                    for lo in range(0, len(order), smp.minibatch):
+                        smp3o_loss_and_grad(params, batch.minibatch(order[lo:lo + smp.minibatch]),
+                                            smp, grads)
+                        norm = clip_gradients(grads, smp.grad_clip)
+                        # the norm is finite exactly when every gradient is,
+                        # unless finite gradients' squared norm overflowed
+                        if not math.isfinite(norm) and not np.isfinite(grad).all():
                             raise TrainingDiverged("non-finite gradient")
-                    clip_gradients(grads, cfg.smp.grad_clip)
-                    for k in params:
-                        velocity[k] = cfg.smp.momentum * velocity[k] + grads[k]
-                        params[k] = params[k] - cfg.smp.learning_rate * velocity[k]
-        except TrainingDiverged:
-            params = last_good
+                        velocity *= smp.momentum
+                        velocity += grad
+                        np.multiply(velocity, smp.learning_rate, out=step)
+                        flat -= step
+        except TrainingDiverged as exc:
+            diverged_at, divergence = iteration + 1, str(exc)
+            params = _param_views(last_good, params)
             break
-        last_good = {k: np.array(v, copy=True) for k, v in params.items()}
+        last_good = flat.copy()
         iteration += 1
         row = {
             "iteration": iteration,
@@ -592,7 +650,7 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
         curve.append(row)
         if progress is not None:
             progress(row)
-    return TrainResult(params, curve, cfg)
+    return TrainResult(params, curve, cfg, diverged_at, divergence)
 
 
 class TrainedPolicy:

@@ -39,9 +39,9 @@ class GridMap:
     """Static occupancy grid. Cells are (row, col); True means obstacle.
 
     Moves off the edge are invalid (no wall ring is stored). Instances are
-    treated as immutable after construction; the neighbour table and each
-    goal's distances and dominators computed against a map are cached on the
-    instance (see pathing).
+    treated as immutable after construction; the neighbour table, each goal's
+    distances and dominators (see pathing) and the padded obstacle planes that
+    observations slice (see gridworld) are cached on the instance.
     """
 
     def __init__(self, obstacles: np.ndarray):
@@ -57,6 +57,7 @@ class GridMap:
         self.width = w
         self._neighbour_table: list | None = None
         self._goal_cache: dict = {}
+        self._obstacle_planes: dict = {}
 
     def in_bounds(self, r: int, c: int) -> bool:
         return 0 <= r < self.height and 0 <= c < self.width

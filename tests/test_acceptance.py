@@ -220,7 +220,7 @@ def test_criterion_05_gradient_checks():
             reward_svo=r.normal(size=8),
             reward_external=r.normal(size=8),
         )
-        _, grads, _ = learner.smp3o_loss_and_grad(params, batch, cfg)
+        _, grads = learner.smp3o_loss_and_grad(params, batch, cfg)
         vec = learner.params_to_vector(params)
         gvec = learner.params_to_vector(grads)
         h = 1e-6

@@ -230,6 +230,29 @@ def _bad_train_config(tmp_path):
     return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
 
 
+def _even_fov_config(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"env": {"fov": 4}}))
+    return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
+
+
+def _replay(records, speeds):
+    """replay-adg args for a trace of the given position records and a speeds
+    file holding the given JSON value."""
+    def make_args(tmp_path):
+        (tmp_path / "trace.jsonl").write_text(
+            "".join(json.dumps({"t": t, "positions": p}) + "\n" for t, p in enumerate(records)))
+        (tmp_path / "speeds.json").write_text(json.dumps(speeds))
+        return ["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"]
+    return make_args
+
+
+def _state_file(value):
+    def make_args(tmp_path):
+        (tmp_path / "state.json").write_text(json.dumps(value))
+        return ["resolve", "--state", "state.json"]
+    return make_args
+
+
 def _height_one_map(tmp_path):
     (tmp_path / "flat.map").write_text("type octile\nheight 1\nwidth 4\nmap\n....\n")
     (tmp_path / "flat.scen.json").write_text(json.dumps(
@@ -276,11 +299,19 @@ def _snapshot(**changes):
     (_snapshot(intents=[2]), "intents: need one entry per agent (2)"),
     (_snapshot(svos=[90, 0.0]), "svos[0]: 90 is not an angle in [0, 45] degrees"),
     (_snapshot(svos=[45.0, -1e-9]), "svos[1]: -1e-09 is not an angle in [0, 45] degrees"),
+    (_even_fov_config, "fov must be a positive odd integer, got 4"),
+    (_state_file([1, 2]), "state.json: need a JSON object with map, positions, intents and "
+                          "svos, got list"),
+    (_replay([[[0]], [[1]]], [1.0]), "trace.jsonl line 1: position [0] is not a [row, col] pair"),
+    (_replay([[[0, 0]], [[0, 1]]], ["x"]), "speeds.json: speed 0 ('x') is not a finite number"),
+    (_replay([[[0, 0]], [[0, 1]]], {"a": 1}),
+     "speeds.json: need a JSON array of speed multipliers, got dict"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
         "resolve-fractional-intent", "resolve-intent-7", "resolve-short-intents",
-        "resolve-svo-90", "resolve-negative-svo"])
+        "resolve-svo-90", "resolve-negative-svo", "even-fov", "resolve-not-an-object",
+        "replay-adg-not-pairs", "replay-adg-speed-not-a-number", "replay-adg-speeds-object"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)
@@ -333,3 +364,26 @@ def test_rotation_runs_but_does_not_replay(tmp_path, capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert captured.err == ("svo-mapf: error: robots 0, 1, 2, 3 rotate between t=0 and t=1: "
                             "each enters the cell the next one leaves\n")
+
+
+def test_training_divergence_is_one_stderr_line(tmp_path, capsys):
+    # a learning rate of 1e6 without clipping blows the critics up in the
+    # third iteration; the first two iterations are kept and saved
+    (tmp_path / "cfg.json").write_text(json.dumps(DIVERGING_TRAIN_CFG))
+    code = cli.main(["train", "--config", str(tmp_path / "cfg.json"), "--quiet",
+                     "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.startswith("svo-mapf: training diverged in iteration 3 (non-finite loss; "
+                                   "diagnostics: {'loss_pi_act': ")
+    assert captured.err.endswith("); saved the parameters of iteration 2\n")
+    assert captured.err.count("\n") == 1 and "Warning" not in captured.err
+    assert json.loads(captured.out)["iterations"] == 2
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 3
+
+
+DIVERGING_TRAIN_CFG = {
+    "smp": {"hidden": 8, "epochs": 2, "minibatch": 8, "learning_rate": 1e6, "grad_clip": 0.0},
+    "env": {"fov": 5, "svo_bins": 3, "max_episode_length": 24},
+    "total_env_steps": 200, "rollout_steps": 20, "seed": 2,
+}

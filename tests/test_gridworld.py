@@ -131,6 +131,17 @@ class TestBlocking:
             TrainConfig.from_json('{"env": {"block_threshold": -3}}')
         assert EnvConfig(block_threshold=0).block_threshold == 0
 
+    @pytest.mark.parametrize("fov", [0, -3, 4, 8, 5.0, "5", True, None])
+    def test_fov_must_be_a_positive_odd_integer(self, fov):
+        # the field of view is centred on the agent: even or empty ones have
+        # no middle cell and used to fail deep inside observe
+        with pytest.raises(ValueError, match="fov must be a positive odd integer"):
+            EnvConfig(fov=fov)
+
+    def test_odd_fovs_accepted(self):
+        for fov in (1, 3, 9, np.int64(7)):
+            assert EnvConfig(fov=fov).fov == fov
+
 
 class TestObserve:
     def test_on_goal_zero_goal_vector(self):

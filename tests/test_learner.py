@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from svo_mapf import learner as L
 from svo_mapf.gridworld import EnvConfig, obs_length
-from svo_mapf.rng import SplitMix64
+from svo_mapf.rng import SplitMix64, derive_seed
+from test_golden import TRAIN_CFG
 
 
 def double_sum_gae_oracle(rewards, values, gamma, lam, bootstrap=0.0):
@@ -116,7 +120,7 @@ class TestLoss:
         for trial in range(4):
             params = L.init_params(39, 8, 3, seed=rng.next_u64(), scale=0.5)
             batch = random_batch(1000 + trial)
-            _, grads, _ = L.smp3o_loss_and_grad(params, batch, cfg)
+            _, grads = L.smp3o_loss_and_grad(params, batch, cfg)
             vec = L.params_to_vector(params)
             gvec = L.params_to_vector(grads)
             h = 1e-6
@@ -175,7 +179,7 @@ class TestLoss:
 
         history = [kl_to_target()]
         for _ in range(60):
-            _, grads, _ = L.smp3o_loss_and_grad(params, batch, cfg)
+            _, grads = L.smp3o_loss_and_grad(params, batch, cfg)
             for k in params:
                 params[k] = params[k] - cfg.learning_rate * grads[k]
             history.append(kl_to_target())
@@ -308,3 +312,145 @@ def test_checkpoint_reload_identical_evaluation(tmp_path):
         EnvConfig(max_episode_length=32, blocking_rewards=False))
     assert before.metrics == after.metrics
     assert before.paths == after.paths
+
+
+def small_train_cfg(**smp):
+    return L.TrainConfig(
+        smp=L.SmpConfig(hidden=8, epochs=1, minibatch=8, **smp),
+        env=EnvConfig(fov=5, svo_bins=3, max_episode_length=24),
+        total_env_steps=30, rollout_steps=15, seed=2,
+    )
+
+
+def raw_digest(params) -> str:
+    h = hashlib.sha256()
+    for k in L.PARAM_KEYS:
+        h.update(np.ascontiguousarray(params[k], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# A run whose gradients clip on most minibatches, with a last minibatch
+# shorter than the rest and a descent window wider than the field of view.
+CLIPPED_TRAIN_CFG = {"smp": {"hidden": 16, "epochs": 3, "minibatch": 7, "learning_rate": 1e-3},
+                     "env": {"fov": 3, "svo_bins": 4, "max_episode_length": 32,
+                             "fov_heuristic": 7},
+                     "total_env_steps": 300, "rollout_steps": 100, "seed": 11}
+
+
+@pytest.mark.parametrize("cfg, want", [
+    (TRAIN_CFG, "6e52695016c8bc91bdc86ca088bdc56ea6795c4ad28af19fd798d6d445887ea5"),
+    (CLIPPED_TRAIN_CFG, "61da4d3325f5edd6ffae3359c1e5788113205d2763160e1ed3c5c56c6ec8a31a"),
+], ids=["train-cfg", "clipped"])
+def test_trained_parameter_bytes_are_golden(cfg, want):
+    """Trained parameters to the last bit, recorded before the minibatch loop
+    and the observation were rewritten. test_golden rounds floats to 9
+    places, so it cannot see a reordered float operation; these raw bytes
+    can. They hold for one numpy and BLAS build (numpy 2.4, OpenBLAS 0.3.31
+    here) and may move on another."""
+    result = L.train(L.TrainConfig.from_json(json.dumps(cfg)))
+    assert raw_digest(result.params) == want
+
+
+def test_train_leaves_the_callers_arrays_alone():
+    cfg = small_train_cfg(learning_rate=1e-2)
+    params = L.init_params(obs_length(5, 3), 8, 3, seed=99)
+    given = dict(params)
+    before = {k: v.copy() for k, v in params.items()}
+    result = L.train(cfg, params)
+    assert params.keys() == given.keys()
+    assert all(params[k] is given[k] for k in given)  # the same arrays under the same keys
+    for k in before:
+        assert np.array_equal(params[k], before[k])
+        assert not np.shares_memory(result.params[k], params[k])
+    assert not np.array_equal(result.params["w_in"], before["w_in"])
+
+
+def _patched_loss(monkeypatch, poison):
+    """Let poison(call, grads) edit the gradients of each minibatch; record a
+    copy of the parameters each call saw and the live parameter dict."""
+    real = L.smp3o_loss_and_grad
+    seen = []
+
+    def loss(params, batch, cfg, grads=None):
+        total, grads = real(params, batch, cfg, grads)
+        seen.append((params, {k: v.copy() for k, v in params.items()}))
+        poison(len(seen), grads)
+        return total, grads
+
+    monkeypatch.setattr(L, "smp3o_loss_and_grad", loss)
+    return seen
+
+
+def test_nan_gradient_stops_training_before_the_update(monkeypatch):
+    def poison(call, grads):
+        if call == 2:
+            grads["b_blk"][0] = np.nan
+
+    seen = _patched_loss(monkeypatch, poison)
+    result = L.train(small_train_cfg(learning_rate=1e-2))
+    assert len(seen) == 2
+    assert result.diverged_at == 1 and result.divergence == "non-finite gradient"
+    assert result.curve == []
+    live, at_nan = seen[-1]
+    first = seen[0][1]
+    # the first minibatch moved the parameters; the poisoned one did not
+    assert not np.array_equal(at_nan["w_in"], first["w_in"])
+    for k in L.PARAM_KEYS:
+        assert np.array_equal(live[k], at_nan[k]), k
+        assert np.array_equal(result.params[k], first[k]), k  # iteration 0's parameters
+
+
+def test_overflowing_gradient_norm_clips_to_a_zero_update(monkeypatch):
+    # finite gradients whose squared norm overflows: the norm reads inf, the
+    # clip scale max_norm / inf is 0 and momentum carries the step alone
+    def poison(call, grads):
+        if call == 1:
+            for g in grads.values():
+                g[...] = 1e200
+
+    seen = _patched_loss(monkeypatch, poison)
+    cfg = small_train_cfg(learning_rate=1e-2)
+    start = L.init_params(obs_length(5, 3), 8, 3, derive_seed(cfg.seed, 0), cfg.param_scale)
+    result = L.train(cfg)
+    assert result.diverged_at is None and len(result.curve) == 2
+    assert len(seen) > 2
+    for k in L.PARAM_KEYS:
+        assert np.array_equal(seen[1][1][k], start[k]), k  # the first step moved nothing
+    grads = {"w": np.full(3, 1e200), "b": np.array([-1e200])}
+    with np.errstate(over="ignore"):
+        assert L.clip_gradients(grads, 10.0) == np.inf
+    assert grads["w"].tolist() == [0.0] * 3 and grads["b"].tolist() == [0.0]
+
+
+def test_diverging_run_records_the_iteration_and_the_loss_terms():
+    from test_cli import DIVERGING_TRAIN_CFG
+
+    result = L.train(L.TrainConfig.from_json(json.dumps(DIVERGING_TRAIN_CFG)))
+    assert result.diverged_at == 3 and len(result.curve) == 2
+    assert result.divergence.startswith("non-finite loss; diagnostics: {")
+    for name in L.LOSS_TERMS + ("total", "ratio_act_mean", "ratio_svo_mean"):
+        assert f"'{name}': " in result.divergence
+
+
+def test_gradients_written_into_given_arrays_match_fresh_ones():
+    params = L.init_params(39, 8, 3, seed=5, scale=0.5)
+    batch = random_batch(3)
+    total, fresh = L.smp3o_loss_and_grad(params, batch, tiny_cfg())
+    out = {k: np.full_like(v, np.nan) for k, v in params.items()}
+    total_out, written = L.smp3o_loss_and_grad(params, batch, tiny_cfg(), out)
+    assert total_out == total and written is out
+    for k in L.PARAM_KEYS:
+        assert fresh[k].tobytes() == out[k].tobytes(), k
+
+
+def test_minibatch_takes_the_loss_fields():
+    batch = random_batch(4, B=10)
+    idx = np.array([7, 2, 2, 9])
+    mb = batch.minibatch(idx)
+    assert len(mb) == 4
+    fields = list(L.RolloutBatch.__dataclass_fields__)
+    for k in fields[:12]:
+        assert np.array_equal(getattr(mb, k), getattr(batch, k)[idx]), k
+    assert all(getattr(mb, k) is None for k in fields[12:])
+    total, _ = L.smp3o_loss(L.init_params(39, 8, 3, seed=1), mb, tiny_cfg())
+    assert np.isfinite(total)
