@@ -10,13 +10,14 @@ resolver-assigned collision penalty, and the blocking penalty.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
 from .mapgen import Scenario
-from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
+from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, _neighbour_table, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -114,10 +115,13 @@ class Gridworld:
             new_positions.append(tgt)
         if len(set(new_positions)) != self.n:
             raise ConditionViolation("two agents share a vertex after the joint move")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if new_positions[i] == self.positions[j] and new_positions[j] == self.positions[i]:
-                    raise ConditionViolation(f"agents {i} and {j} swap vertices")
+        # the only agent that can swap with i is the one that stood on i's
+        # target; naming the pair at the smaller index reports the first one
+        occupant = {pos: j for j, pos in enumerate(self.positions)}
+        for i, tgt in enumerate(new_positions):
+            j = occupant.get(tgt, -1)
+            if j > i and new_positions[j] == self.positions[i]:
+                raise ConditionViolation(f"agents {i} and {j} swap vertices")
 
         self.positions = new_positions
         self.t += 1
@@ -145,19 +149,84 @@ class Gridworld:
         return StepOutcome(rewards, blocked)
 
 
+def _cut_vertices(grid) -> tuple[array, array, dict]:
+    """The map's cut vertices from one iterative depth-first search (Tarjan,
+    "Depth-first search and linear graph algorithms", 1972), built once per
+    map: each free cell's discovery index, the last discovery index in its
+    subtree, and per cell b the children c whose subtrees removing b cuts off
+    from the rest of the component (low[c] >= disc[b]; this holds for every
+    child of a root, so a root with one child is listed though nothing is cut
+    off). Cells without a free neighbour keep index -1.
+    """
+    cut = grid._cut_vertices
+    if cut is None:
+        nbrs = _neighbour_table(grid)
+        n = len(nbrs)
+        disc, last, low = [-1] * n, [-1] * n, [0] * n
+        separated = {}
+        t = 0
+        for root in range(n):
+            if disc[root] >= 0 or not nbrs[root]:
+                continue
+            disc[root] = low[root] = t
+            t += 1
+            stack = [(root, -1, iter(nbrs[root]))]  # (cell, its parent, unvisited neighbours)
+            while stack:
+                v, p, rest = stack[-1]
+                low_v = low[v]
+                for c in rest:
+                    dc = disc[c]
+                    if dc < 0:
+                        low[v] = low_v
+                        disc[c] = low[c] = t
+                        t += 1
+                        stack.append((c, v, iter(nbrs[c])))
+                        break
+                    if dc < low_v and c != p:
+                        low_v = dc
+                else:
+                    stack.pop()
+                    low[v] = low_v
+                    last[v] = t - 1
+                    if p >= 0:
+                        if low_v < low[p]:
+                            low[p] = low_v
+                        if low_v >= disc[p]:
+                            separated.setdefault(p, []).append(v)
+        cut = grid._cut_vertices = (array("i", disc), array("i", last), separated)
+    return cut
+
+
+def _separates(grid, b: int, s: int, g: int) -> bool:
+    """Does every path from flat cell s to flat cell g pass flat cell b?
+
+    s, g and b must lie in one component, with s != b. They are separated
+    when g is b, or when one of the subtrees that b separates holds exactly
+    one of s and g.
+    """
+    disc, last, separated = _cut_vertices(grid)
+    ds, dg = disc[s], disc[g]
+    for c in separated.get(b, ()):
+        lo, hi = disc[c], last[c]
+        if (lo <= ds <= hi) != (lo <= dg <= hi):
+            return True
+    return g == b
+
+
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
     """Does treating blocker_cell as an obstacle choke start's route to goal?
 
     Removing a cell lengthens the shortest distance d0 only if the cell is on
     every shortest path, i.e. on start's dominator chain toward the goal.
     Off the chain a path of length d0 <= d0 + threshold survives. On it, a
-    detour search that never enters the blocker and prunes every cell whose
-    depth plus goal distance exceeds d0 + threshold decides: blocked iff it
-    cannot reach the goal.
+    blocker that is a cut vertex between start and goal leaves no path at
+    all; otherwise a detour search that never enters the blocker and prunes
+    every cell whose depth plus goal distance exceeds d0 + threshold decides:
+    blocked iff it cannot reach the goal.
     """
     if start == goal:
         return False
-    dist, idom, _ = _goal_entry(grid, goal)
+    dist, idom, _, _ = _goal_entry(grid, goal)
     w = grid.width
     s = start[0] * w + start[1]
     b = blocker_cell[0] * w + blocker_cell[1]
@@ -175,6 +244,8 @@ def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
     if cell != b:
         return False
     g = goal[0] * w + goal[1]
+    if _separates(grid, b, s, g):
+        return True
     return _bfs(grid, s, target=g, removed=b, bound=d0 + threshold, h=dist)[g] == UNREACHABLE
 
 

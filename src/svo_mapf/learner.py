@@ -70,7 +70,7 @@ def init_params(obs_dim: int, hidden: int, svo_bins: int, seed: int, scale: floa
     rng = SplitMix64(seed)
 
     def mat(rows, cols):
-        return np.array([[rng.normal() for _ in range(cols)] for _ in range(rows)]) * scale / math.sqrt(rows)
+        return rng.normals(rows * cols).reshape(rows, cols) * scale / math.sqrt(rows)
 
     return {
         "w_in": mat(obs_dim, hidden),

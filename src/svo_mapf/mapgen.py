@@ -40,7 +40,8 @@ class GridMap:
 
     Moves off the edge are invalid (no wall ring is stored). Instances are
     treated as immutable after construction; the neighbour table, each goal's
-    distances and dominators (see pathing) and the padded obstacle planes that
+    distances, dominators and planned paths (see pathing), and the cut
+    vertices that blocking detection reads and the padded obstacle planes that
     observations slice (see gridworld) are cached on the instance.
     """
 
@@ -56,6 +57,7 @@ class GridMap:
         self.height = h
         self.width = w
         self._neighbour_table: list | None = None
+        self._cut_vertices: tuple | None = None
         self._goal_cache: dict = {}
         self._obstacle_planes: dict = {}
 

@@ -8,6 +8,8 @@ Every search runs on one BFS kernel over a flat neighbour table built once
 per map; the goal's BFS also records each cell's immediate dominator, which
 blocking detection walks, and every step toward a cell (a path, a greedy
 step, the scripted policies' moves) is one descent helper over that table.
+Descent is deterministic, so the path from any cell on a planned path is
+that path's suffix: planned paths are indexed per goal and reused.
 """
 
 from __future__ import annotations
@@ -107,13 +109,14 @@ def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,
     return dist
 
 
-def _goal_entry(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array, np.ndarray]:
-    """Flat distances to the goal, immediate dominators toward it and a
-    read-only H x W view of the distances: one BFS, cached per goal on the map.
+def _goal_entry(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array, np.ndarray, dict]:
+    """Flat distances to the goal, immediate dominators toward it, a
+    read-only H x W view of the distances and the goal's path index: one BFS,
+    cached per goal on the map.
 
     v, idom[v], idom[idom[v]], ..., goal are exactly the cells on every
     shortest v -> goal path. Unreachable and obstacle cells hold UNREACHABLE
-    in both flat arrays.
+    in both flat arrays. The path index starts empty; `astar_path` fills it.
     """
     entry = grid._goal_cache.get(goal)
     if entry is not None:
@@ -126,7 +129,7 @@ def _goal_entry(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array, np.
     dist = array("i", _bfs(grid, g, idom=idom))
     field = np.frombuffer(dist, dtype=np.int32).reshape(grid.height, grid.width)
     field.flags.writeable = False
-    entry = grid._goal_cache[goal] = (dist, array("i", idom), field)
+    entry = grid._goal_cache[goal] = (dist, array("i", idom), field, {})
     return entry
 
 
@@ -182,31 +185,60 @@ class PathFlow:
         return len(self.vertices) - 1
 
 
+def _index_descent(grid: GridMap, dist, paths: dict, u: int, g: int) -> None:
+    """Descend from flat cell u (not yet in paths) until the goal g or a cell
+    paths already holds, and index the new cells as one segment.
+
+    A segment is (vertices, directions, join, head distance): its cells in
+    path order with the direction taken at each, the flat cell the path
+    continues from (-1 when the segment ends on the goal, whose direction is
+    STOP) and the first cell's distance, so a cell's offset in its segment is
+    the head distance minus its own. Every cell is in at most one segment.
+    """
+    nbrs = _neighbour_table(grid)
+    w = grid.width
+    head, cells, vertices, directions = dist[u], [], [], []
+    while u not in paths:
+        cells.append(u)
+        vertices.append(divmod(u, w))
+        if u == g:
+            directions.append(STOP)
+            u = -1
+            break
+        v = _descend(nbrs, dist, u)
+        if v < 0:  # unreachable by construction: every reachable cell has a descent neighbor
+            raise NoPathError(f"descent stalled at {divmod(u, w)}")
+        directions.append(_action(u, v, w))
+        u = v
+    segment = (vertices, directions, u, head)
+    for cell in cells:
+        paths[cell] = segment
+
+
 def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> PathFlow:
     """Deterministic shortest path from start to goal as a PathFlow.
 
     Greedy descent on the goal's distance field; at each vertex the first
     neighbor (Up, Down, Left, Right order) whose distance is exactly one less
-    is taken, so identical inputs always yield the identical path.
+    is taken, so identical inputs always yield the identical path. Cells of
+    earlier paths to the goal are indexed, so the path is read from their
+    suffixes; the returned lists are always fresh.
     """
     if not grid.is_free(*start):
         raise ValueError(f"start {start} is not a free cell")
-    dist = _goal_entry(grid, goal)[0]
-    w = grid.width
-    u, g = start[0] * w + start[1], goal[0] * w + goal[1]
+    dist, _, _, paths = _goal_entry(grid, goal)
+    u = start[0] * grid.width + start[1]
     if dist[u] == UNREACHABLE:
         raise NoPathError(f"no path from {start} to {goal}")
-    nbrs = _neighbour_table(grid)
-    vertices = [start]
-    directions = []
-    while u != g:
-        v = _descend(nbrs, dist, u)
-        if v < 0:  # unreachable by construction: every reachable cell has a descent neighbor
-            raise NoPathError(f"descent stalled at {divmod(u, w)}")
-        directions.append(_action(u, v, w))
-        vertices.append(divmod(v, w))
-        u = v
-    directions.append(STOP)
+    if u not in paths:
+        _index_descent(grid, dist, paths, u, goal[0] * grid.width + goal[1])
+    vertices, directions = [], []
+    while u >= 0:
+        seg_vertices, seg_directions, join, head = paths[u]
+        k = head - dist[u]
+        vertices += seg_vertices[k:]
+        directions += seg_directions[k:]
+        u = join
     return PathFlow(vertices, directions)
 
 

@@ -16,10 +16,15 @@ rejection sampling so results are unbiased and independent of word size.
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_NORMALS_BLOCK = 1024
 
 
 class SplitMix64:
@@ -61,10 +66,22 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: swap i takes j = randrange(i + 1),
+        with the generator inlined. x - x % n is the multiple of n below x,
+        so the draw is kept exactly when it is below randrange's limit."""
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            n = i + 1
+            while True:
+                state = (state + _GOLDEN) & _MASK64
+                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+                x = z ^ (z >> 31)
+                j = x % n
+                if x - j <= _MASK64 + 1 - n:
+                    break
             items[i], items[j] = items[j], items[i]
+        self.state = state
 
     def sample(self, seq, k: int) -> list:
         """k distinct elements, order determined by the draw sequence."""
@@ -78,13 +95,41 @@ class SplitMix64:
 
     def normal(self) -> float:
         """Standard normal via Box-Muller (polar form avoided for determinism)."""
-        import math
-
         u1 = self.random()
         while u1 <= 0.0:
             u1 = self.random()
         u2 = self.random()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def normals(self, count: int) -> np.ndarray:
+        """count draws of normal(), in order and with the same bits.
+
+        The words come from a vectorised pass of the recurrence (numpy's
+        uint64 arithmetic wraps mod 2^64), 2 * _NORMALS_BLOCK at a time so
+        the arrays stay small; the transcendentals stay per element in math
+        so no last bit moves. A block holding a zero u1, which normal() would
+        redraw and so shift every later word, is drawn through normal().
+        """
+        out = np.empty(count)
+        log, sqrt, cos, tau = math.log, math.sqrt, math.cos, 2.0 * math.pi
+        for lo in range(0, count, _NORMALS_BLOCK):
+            k = min(count - lo, _NORMALS_BLOCK)
+            z = np.arange(1, 2 * k + 1, dtype=np.uint64)
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self.state)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_MIX1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+            u = (z >> np.uint64(11)) * (2.0 ** -53)
+            u1, u2 = u[0::2].tolist(), u[1::2].tolist()
+            if 0.0 in u1:
+                out[lo:lo + k] = [self.normal() for _ in range(k)]
+                continue
+            self.state = (self.state + 2 * k * _GOLDEN) & _MASK64
+            out[lo:lo + k] = [sqrt(-2.0 * log(a)) * cos(tau * b) for a, b in zip(u1, u2)]
+        return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:

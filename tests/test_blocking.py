@@ -4,9 +4,12 @@
 implementation, copied verbatim (only the first is renamed) as the oracle: a
 blocker counts when masking its cell makes the goal unreachable or lengthens
 the start's shortest path by more than the threshold. The dominator chains behind the fast predicate are
-checked against brute-force enumeration of every shortest path.
+checked against brute-force enumeration of every shortest path, and the
+cut-vertex test that settles blocked pairs without a detour search against
+the masked BFS kernel.
 """
 
+import sys
 from collections import deque
 
 import numpy as np
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svo_mapf import mapgen, pathing
-from svo_mapf.gridworld import _blocks_agent
-from svo_mapf.pathing import UNREACHABLE, distance_field
+from svo_mapf.gridworld import _blocks_agent, _cut_vertices, _separates
+from svo_mapf.pathing import UNREACHABLE, _bfs, distance_field
 
 THRESHOLDS = (0, 1, 3, 10, 30)
 FUZZ = settings(deadline=None, derandomize=True, max_examples=300)
@@ -172,7 +175,7 @@ def _shortest_paths(start, goal, to_goal):
 
 
 def dominator_chain(grid, start, goal):
-    dist, idom, _ = pathing._goal_entry(grid, goal)
+    dist, idom = pathing._goal_entry(grid, goal)[:2]
     w = grid.width
     cell = start[0] * w + start[1]
     chain = [cell]
@@ -190,7 +193,7 @@ def test_dominator_chain_is_the_set_of_cells_on_every_shortest_path(data):
     free = grid.free_cells()
     goal = data.draw(st.sampled_from(free))
     to_goal = _bfs_distances(grid, goal)
-    dist, idom, _ = pathing._goal_entry(grid, goal)
+    dist, idom = pathing._goal_entry(grid, goal)[:2]
     for start in free:
         flat = start[0] * grid.width + start[1]
         if start not in to_goal:
@@ -233,3 +236,76 @@ def test_negative_threshold_would_split_the_predicates():
     assert not reference_blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
     assert not _blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
     assert (0, 1) not in dominator_chain(grid, (0, 0), (1, 2))
+
+
+def components(grid):
+    """Flat cell -> component label, over free cells."""
+    label = {}
+    for cell in grid.free_cells():
+        flat = cell[0] * grid.width + cell[1]
+        if flat not in label:
+            for v, d in enumerate(_bfs(grid, flat)):
+                if d != UNREACHABLE:
+                    label[v] = flat
+    return label
+
+
+def assert_cut_test_matches_masked_bfs(grid, triples):
+    label = components(grid)
+    checked = 0
+    for b, s, g in triples:
+        if s == b or not (label[b] == label[s] == label[g]):
+            continue
+        want = _bfs(grid, s, removed=b)[g] == UNREACHABLE
+        assert _separates(grid, b, s, g) == want, (divmod(b, grid.width), divmod(s, grid.width),
+                                                    divmod(g, grid.width))
+        checked += 1
+    return checked
+
+
+@given(data=st.data())
+@FUZZ
+def test_cut_test_matches_masked_bfs(data):
+    grid = data.draw(maps())
+    flat = [r * grid.width + c for r, c in grid.free_cells()]
+    cell = st.sampled_from(flat)
+    triples = []
+    for _ in range(12):
+        b, s, g = data.draw(cell), data.draw(cell), data.draw(cell)
+        triples += [(b, s, g), (b, s, b), (g, s, g)]
+    assert_cut_test_matches_masked_bfs(grid, triples)
+
+
+def test_cut_test_exhaustive_with_a_root_cut_vertex_and_three_components():
+    # the search starts at (0, 0), a cut vertex with two children; (0, 3) and
+    # the bottom-right pocket are further components
+    grid = mapgen.GridMap(np.array([
+        [0, 0, 1, 0, 1, 1],
+        [0, 1, 1, 1, 1, 1],
+        [0, 0, 0, 1, 0, 0],
+        [0, 1, 0, 1, 0, 1],
+        [0, 0, 0, 1, 0, 0],
+    ], dtype=bool))
+    disc, last, separated = _cut_vertices(grid)
+    assert disc[0] == 0 and len(separated[0]) == 2
+    flat = [r * grid.width + c for r, c in grid.free_cells()]
+    triples = [(b, s, g) for b in flat for s in flat for g in flat]
+    assert assert_cut_test_matches_masked_bfs(grid, triples) > 1000
+
+
+def test_cut_structure_is_bounded_and_built_without_recursion():
+    # a serpentine 256 x 256 map: the search runs about 33 000 cells deep,
+    # far past the recursion limit, and almost every cell is a cut vertex
+    assert sys.getrecursionlimit() < 256 * 128
+    obst = np.zeros((256, 256), dtype=bool)
+    obst[1::4, :-1] = True
+    obst[3::4, 1:] = True
+    grid = mapgen.GridMap(obst)
+    disc, last, separated = _cut_vertices(grid)
+    assert _cut_vertices(grid) is grid._cut_vertices
+    h, w = grid.height, grid.width
+    assert len(disc) + len(last) + sum(len(cs) for cs in separated.values()) <= 3 * h * w
+    assert len(separated) > 0.9 * len(grid.free_cells())
+    start, goal = (128, 0), (254, 0)
+    assert _blocks_agent(grid, (200, 7), start, goal, 10)
+    assert not _blocks_agent(grid, (64, 7), start, goal, 10)  # behind the start

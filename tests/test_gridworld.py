@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svo_mapf import gridworld, harness, mapgen
 from svo_mapf.gridworld import ConditionViolation, EnvConfig, Gridworld, detect_blocking, observe, obs_length
 from svo_mapf.learner import TrainConfig
-from svo_mapf.pathing import IDLE, LEFT, RIGHT, UP
+from svo_mapf.pathing import ACTION_DELTAS, IDLE, LEFT, RIGHT, UP
 from svo_mapf.rng import derive_seed
 
 
@@ -66,6 +68,37 @@ class TestStepContract:
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
         with pytest.raises(ConditionViolation):
             env.step(np.array([RIGHT, LEFT]))
+
+    def test_first_of_two_swaps_is_named(self):
+        # 0 <-> 2 and 1 <-> 3 swap in one step; the pair loop named (0, 2)
+        grid = mapgen.GridMap(np.zeros((2, 2), dtype=bool))
+        scn = mapgen.Scenario(grid, [(0, 0), (1, 0), (0, 1), (1, 1)],
+                              [(0, 1), (1, 1), (0, 0), (1, 0)], seed=0)
+        env = Gridworld(scn, EnvConfig(blocking_rewards=False))
+        with pytest.raises(ConditionViolation, match=r"^agents 0 and 2 swap vertices$"):
+            env.step(np.array([RIGHT, RIGHT, LEFT, LEFT]))
+
+    @given(data=st.data())
+    @settings(deadline=None, derandomize=True, max_examples=200)
+    def test_swap_check_names_the_pair_loops_first_pair(self, data):
+        side = data.draw(st.integers(2, 4))
+        grid = mapgen.GridMap(np.zeros((side, side), dtype=bool))
+        n = data.draw(st.integers(2, side * side))
+        cells = data.draw(st.permutations(grid.free_cells()))[:n]
+        actions = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        targets = [(r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1])
+                   for (r, c), a in zip(cells, actions)]
+        if not all(grid.is_free(*t) for t in targets) or len(set(targets)) != n:
+            return
+        want = next((f"agents {i} and {j} swap vertices" for i in range(n) for j in range(i + 1, n)
+                     if targets[i] == cells[j] and targets[j] == cells[i]), None)
+        env = Gridworld(mapgen.Scenario(grid, cells, cells, seed=0), EnvConfig(blocking_rewards=False))
+        if want is None:
+            env.step(np.array(actions))
+            assert env.positions == targets
+        else:
+            with pytest.raises(ConditionViolation, match=f"^{want}$"):
+                env.step(np.array(actions))
 
     def test_static_collision_rejected(self):
         env = Gridworld(corridor_scenario(), EnvConfig(blocking_rewards=False))

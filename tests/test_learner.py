@@ -351,6 +351,16 @@ def test_trained_parameter_bytes_are_golden(cfg, want):
     assert raw_digest(result.params) == want
 
 
+@pytest.mark.parametrize("seed, want", [
+    (0, "585e5e4845a7efcf75225caf5475ef202a5295025c4eafca0c78ae062c74c475"),
+    (3, "04e803d13e5c550dca4b4b7488d27518b7a855a92d9bc17b4a966d031ab29638"),
+])
+def test_initial_parameter_bytes_are_golden(seed, want):
+    """The default network's initial weights to the last bit, recorded while
+    each weight was one SplitMix64.normal() call."""
+    assert raw_digest(L.init_params(259, 64, 5, seed, 0.1)) == want
+
+
 def test_train_leaves_the_callers_arrays_alone():
     cfg = small_train_cfg(learning_rate=1e-2)
     params = L.init_params(obs_length(5, 3), 8, 3, seed=99)

@@ -2,6 +2,8 @@ import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svo_mapf import mapgen, pathing
 from svo_mapf.pathing import ACTION_DELTAS, STOP, UNREACHABLE, NoPathError
@@ -129,3 +131,60 @@ def test_greedy_step_properties():
             dr, dc = ACTION_DELTAS[action]
             dist = pathing.distance_field(scn.grid, g)
             assert dist[s[0] + dr, s[1] + dc] == dist[s] - 1
+
+
+def path_or_none(grid, start, goal):
+    try:
+        flow = pathing.astar_path(grid, start, goal)
+    except NoPathError:
+        return None
+    return flow.vertices, flow.directions
+
+
+@given(family=st.sampled_from(["random", "room", "maze"]), seed=st.integers(0, 2**32 - 1))
+@settings(deadline=None, derandomize=True, max_examples=30)
+def test_paths_do_not_depend_on_the_order_they_are_planned_in(family, seed):
+    # every path read from the index equals the one planned on a fresh map
+    # in the reverse order, where other cells were indexed first
+    if family == "random":
+        scn = mapgen.gen_random(12, 12, 0.3, 2, seed)
+    elif family == "room":
+        scn = mapgen.gen_room(12, 12, 2, seed)
+    else:
+        scn = mapgen.gen_maze(6, 6, 2, seed)
+    free = scn.grid.free_cells()
+    for goal in scn.goals:
+        forward, backward = (mapgen.GridMap(scn.grid.obstacles) for _ in range(2))
+        ahead = [path_or_none(forward, s, goal) for s in free]
+        behind = [path_or_none(backward, s, goal) for s in reversed(free)][::-1]
+        assert ahead == behind
+        assert ahead == [path_or_none(forward, s, goal) for s in free]
+
+
+def test_mutating_a_returned_path_leaves_the_next_one_alone():
+    scn = mapgen.gen_room(12, 12, 1, seed=2)
+    grid, start, goal = scn.grid, scn.starts[0], scn.goals[0]
+    first = pathing.astar_path(grid, start, goal)
+    want = (list(first.vertices), list(first.directions))
+    first.vertices.reverse()
+    first.directions.append(STOP)
+    first.vertices[0] = (-1, -1)
+    middle = pathing.astar_path(grid, want[0][1], goal)
+    middle.vertices.clear()
+    again = pathing.astar_path(grid, start, goal)
+    assert (again.vertices, again.directions) == want
+    assert again.vertices is not first.vertices
+
+
+def test_path_index_holds_each_free_cell_at_most_once_per_goal():
+    scn = mapgen.gen_room(256, 256, 3, seed=1)
+    grid = scn.grid
+    free = grid.free_cells()
+    for goal in scn.goals:
+        for start in free[::97]:
+            path_or_none(grid, start, goal)
+    assert set(grid._goal_cache) == set(scn.goals)
+    for goal, (_, _, _, paths) in grid._goal_cache.items():
+        assert len(paths) <= len(free)
+        segments = {id(seg): seg for seg in paths.values()}.values()
+        assert sum(len(seg[0]) for seg in segments) == len(paths)

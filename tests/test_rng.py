@@ -1,6 +1,10 @@
+import hashlib
+
+import numpy as np
 import pytest
 
-from svo_mapf.rng import SplitMix64, derive_seed
+from svo_mapf import rng
+from svo_mapf.rng import _GOLDEN, _MASK64, SplitMix64, derive_seed
 
 
 def test_known_sequence():
@@ -54,3 +58,45 @@ def test_derive_seed_is_pure_and_spread():
     seeds = {derive_seed(42, i) for i in range(100)}
     assert len(seeds) == 100
     assert derive_seed(42, 1) != derive_seed(43, 1)
+
+
+def test_shuffle_draws_are_golden():
+    # recorded while every swap drew through randrange
+    g = SplitMix64(12345)
+    xs = list(range(2048))
+    g.shuffle(xs)
+    assert (hashlib.sha256(np.array(xs, dtype=np.int64).tobytes()).hexdigest()
+            == "e9ecca9aeb9d3e781b2afe1bed1653113ef039c5a0ff361974c4f75f722e4636")
+    assert g.state == 2131981912004516900
+
+
+def test_shuffle_matches_randrange_swaps():
+    for seed in range(20):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        xs, ys = list(range(seed + 1)), list(range(seed + 1))
+        a.shuffle(xs)
+        for i in range(len(ys) - 1, 0, -1):
+            j = b.randrange(i + 1)
+            ys[i], ys[j] = ys[j], ys[i]
+        assert xs == ys and a.state == b.state
+
+
+@pytest.mark.parametrize("word", [None, 0, 1, 6, 7])
+def test_normals_match_normal_draws(word):
+    # word k of the stream is exactly 0 when the state starts k + 1 golden
+    # steps before zero: a zero u1 (even k) is redrawn, a zero u2 (odd k) kept
+    seed = 99 if word is None else (-(word + 1) * _GOLDEN) & _MASK64
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert a.normals(9).tolist() == [b.normal() for _ in range(9)]
+    assert a.state == b.state
+    assert a.normals(0).size == 0 and a.state == b.state
+
+
+def test_normals_cross_block_boundaries_like_normal_draws(monkeypatch):
+    # a zero u1 in the second of four blocks: that block is drawn through
+    # normal() and the later blocks start from the state it leaves
+    monkeypatch.setattr(rng, "_NORMALS_BLOCK", 3)
+    seed = (-(2 * 4 + 1) * _GOLDEN) & _MASK64
+    a, b = SplitMix64(seed), SplitMix64(seed)
+    assert a.normals(11).tolist() == [b.normal() for _ in range(11)]
+    assert a.state == b.state
