@@ -18,6 +18,7 @@ import numpy as np
 
 from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
+from .mapgen import _is_cell, _is_int, _map_from_ref
 from .resolver import resolve as resolver_resolve
 
 
@@ -79,10 +80,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
@@ -98,8 +95,7 @@ def _check_snapshot(grid, state) -> None:
             raise ValueError(f"{name}: need one entry per agent ({len(positions)})")
     seen = {}
     for i, p in enumerate(positions):
-        if not (isinstance(p, list) and len(p) == 2 and all(map(_is_int, p))
-                and grid.is_free(*p)):
+        if not (_is_cell(p) and grid.is_free(*p)):
             raise ValueError(f"positions[{i}]: {p} is not a free cell of the "
                              f"{grid.height}x{grid.width} map")
         if tuple(p) in seen:
@@ -119,12 +115,7 @@ def _cmd_resolve(args) -> int:
     if not isinstance(state, dict):
         raise ValueError(f"{args.state}: need a JSON object with map, positions, intents "
                          f"and svos, got {type(state).__name__}")
-    map_ref = state["map"]
-    if "\n" in map_ref:
-        grid = mapgen.read_map(map_ref)
-    else:
-        with open(map_ref) as f:
-            grid = mapgen.read_map(f.read())
+    grid = _map_from_ref(state["map"])
     _check_snapshot(grid, state)
     positions = [tuple(p) for p in state["positions"]]
     outcome = resolver_resolve(grid, positions,
@@ -243,7 +234,7 @@ def _cmd_replay_adg(args) -> int:
                 raise ValueError(f"{args.trace} line {lineno}: {len(positions)} positions, "
                                  f"but the t = 0 record has {len(paths)}")
             for path, pos in zip(paths, positions):
-                if not (isinstance(pos, list) and len(pos) == 2 and all(map(_is_int, pos))):
+                if not _is_cell(pos):
                     raise ValueError(f"{args.trace} line {lineno}: position {pos!r} is not a "
                                      "[row, col] pair of integers")
                 path.append(tuple(pos))

@@ -10,14 +10,12 @@ resolver-assigned collision penalty, and the blocking penalty.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .mapgen import Scenario
-from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, _neighbour_table, distance_field
+from .mapgen import Scenario, _is_int, _separates
+from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -46,9 +44,11 @@ class EnvConfig:
     blocking_rewards: bool = True
 
     def __post_init__(self):
+        # The cap is checked after each step, so a cap below 1 would still run one.
+        if not (_is_int(self.max_episode_length) and self.max_episode_length >= 1):
+            raise ValueError(f"max_episode_length must be a positive integer, got {self.max_episode_length!r}")
         # The field of view is centred on the agent, so it needs a middle cell.
-        if not (isinstance(self.fov, Integral) and not isinstance(self.fov, bool)
-                and self.fov > 0 and self.fov % 2 == 1):
+        if not (_is_int(self.fov) and self.fov > 0 and self.fov % 2 == 1):
             raise ValueError(f"fov must be a positive odd integer, got {self.fov!r}")
         # A negative threshold would count a cell on only some shortest paths
         # as blocking: no detour is shorter than the shortest path.
@@ -147,70 +147,6 @@ class Gridworld:
         elif self.t >= self.config.max_episode_length:
             self.terminated = True
         return StepOutcome(rewards, blocked)
-
-
-def _cut_vertices(grid) -> tuple[array, array, dict]:
-    """The map's cut vertices from one iterative depth-first search (Tarjan,
-    "Depth-first search and linear graph algorithms", 1972), built once per
-    map: each free cell's discovery index, the last discovery index in its
-    subtree, and per cell b the children c whose subtrees removing b cuts off
-    from the rest of the component (low[c] >= disc[b]; this holds for every
-    child of a root, so a root with one child is listed though nothing is cut
-    off). Cells without a free neighbour keep index -1.
-    """
-    cut = grid._cut_vertices
-    if cut is None:
-        nbrs = _neighbour_table(grid)
-        n = len(nbrs)
-        disc, last, low = [-1] * n, [-1] * n, [0] * n
-        separated = {}
-        t = 0
-        for root in range(n):
-            if disc[root] >= 0 or not nbrs[root]:
-                continue
-            disc[root] = low[root] = t
-            t += 1
-            stack = [(root, -1, iter(nbrs[root]))]  # (cell, its parent, unvisited neighbours)
-            while stack:
-                v, p, rest = stack[-1]
-                low_v = low[v]
-                for c in rest:
-                    dc = disc[c]
-                    if dc < 0:
-                        low[v] = low_v
-                        disc[c] = low[c] = t
-                        t += 1
-                        stack.append((c, v, iter(nbrs[c])))
-                        break
-                    if dc < low_v and c != p:
-                        low_v = dc
-                else:
-                    stack.pop()
-                    low[v] = low_v
-                    last[v] = t - 1
-                    if p >= 0:
-                        if low_v < low[p]:
-                            low[p] = low_v
-                        if low_v >= disc[p]:
-                            separated.setdefault(p, []).append(v)
-        cut = grid._cut_vertices = (array("i", disc), array("i", last), separated)
-    return cut
-
-
-def _separates(grid, b: int, s: int, g: int) -> bool:
-    """Does every path from flat cell s to flat cell g pass flat cell b?
-
-    s, g and b must lie in one component, with s != b. They are separated
-    when g is b, or when one of the subtrees that b separates holds exactly
-    one of s and g.
-    """
-    disc, last, separated = _cut_vertices(grid)
-    ds, dg = disc[s], disc[g]
-    for c in separated.get(b, ()):
-        lo, hi = disc[c], last[c]
-        if (lo <= ds <= hi) != (lo <= dg <= hi):
-            return True
-    return g == b
 
 
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:

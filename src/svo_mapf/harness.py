@@ -14,15 +14,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
-from .mapgen import GridMap, Scenario, gen_maze, gen_random, gen_room, sample_corridor
-from .pathing import IDLE, _action, _bfs, _descend, _goal_entry, _neighbour_table
+from .mapgen import GridMap, Scenario, _neighbour_table, gen_maze, gen_random, gen_room, sample_corridor
+from .pathing import IDLE, _action, _bfs, _descend, _goal_entry
 from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
 from .rng import derive_seed
@@ -123,26 +122,20 @@ class HeterogeneousScriptedPolicy:
 
 
 def _nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
-    """Closest free cell off the given path; ties by (distance, row, col)."""
-    seen = {start}
-    frontier = deque([(start, 0)])
-    best = None
-    best_key = None
-    best_dist = None
-    while frontier:
-        (r, c), d = frontier.popleft()
-        if best_dist is not None and d > best_dist:
-            break
-        if (r, c) not in path_cells:
-            key = (d, r, c)
-            if best_key is None or key < best_key:
-                best, best_key, best_dist = (r, c), key, d
-            continue
-        for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if grid.is_free(*nxt) and nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, d + 1))
-    return best
+    """Closest free cell off the given path; ties by (distance, row, col).
+
+    Searches ring by ring, entering only path cells; the flat index orders a
+    ring's cells like (row, col)."""
+    w = grid.width
+    nbrs = _neighbour_table(grid)
+    ring, seen = [start[0] * w + start[1]], set()
+    while ring:
+        off = [u for u in ring if divmod(u, w) not in path_cells]
+        if off:
+            return divmod(min(off), w)
+        seen.update(ring)
+        ring = {v for u in ring for v in nbrs[u] if v not in seen}
+    return None
 
 
 def effective_env_cfg(policy, env_cfg: EnvConfig | None) -> EnvConfig:
@@ -307,6 +300,8 @@ def run_batch(family: str, size: int, density: float, n_agents: int, instances: 
     environment skips the blocking-reward computation; pass an env_cfg to
     override.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     env_cfg = env_cfg or EnvConfig(blocking_rewards=False)
     policy = make_policy(policy_name, env_cfg)
     per_instance = []

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -39,10 +41,11 @@ class GridMap:
     """Static occupancy grid. Cells are (row, col); True means obstacle.
 
     Moves off the edge are invalid (no wall ring is stored). Instances are
-    treated as immutable after construction; the neighbour table, each goal's
-    distances, dominators and planned paths (see pathing), and the cut
-    vertices that blocking detection reads and the padded obstacle planes that
-    observations slice (see gridworld) are cached on the instance.
+    treated as immutable after construction; the map's graph (the neighbour
+    table and one depth-first search giving cut vertices and components, see
+    below), each goal's distances, dominators and planned paths (see pathing)
+    and the padded obstacle planes that observations slice (see gridworld) are
+    cached on the instance.
     """
 
     def __init__(self, obstacles: np.ndarray):
@@ -58,6 +61,7 @@ class GridMap:
         self.width = w
         self._neighbour_table: list | None = None
         self._cut_vertices: tuple | None = None
+        self._components: array | None = None
         self._goal_cache: dict = {}
         self._obstacle_planes: dict = {}
 
@@ -87,6 +91,110 @@ class GridMap:
 
     def __repr__(self) -> str:
         return f"GridMap({self.height}x{self.width}, density={self.density:.3f})"
+
+
+def _neighbour_table(grid: GridMap) -> list[tuple[int, ...]]:
+    """Free 4-neighbours of every cell by flat index r * width + c, in Up,
+    Down, Left, Right order (obstacles get no entry). Built once per map."""
+    table = grid._neighbour_table
+    if table is None:
+        h, w = grid.height, grid.width
+        free = (~grid.obstacles).ravel().tolist()
+        table = []
+        for i in range(h * w):
+            if not free[i]:
+                table.append(())
+                continue
+            r, c = divmod(i, w)
+            cell = []
+            if r > 0 and free[i - w]:
+                cell.append(i - w)
+            if r < h - 1 and free[i + w]:
+                cell.append(i + w)
+            if c > 0 and free[i - 1]:
+                cell.append(i - 1)
+            if c < w - 1 and free[i + 1]:
+                cell.append(i + 1)
+            table.append(tuple(cell))
+        grid._neighbour_table = table
+    return table
+
+
+def _cut_vertices(grid: GridMap) -> tuple[array, array, dict]:
+    """The map's cut vertices from one iterative depth-first search (Tarjan,
+    "Depth-first search and linear graph algorithms", 1972), built once per
+    map: each free cell's discovery index, the last discovery index in its
+    subtree, and per cell b the children c whose subtrees removing b cuts off
+    from the rest of the component (low[c] >= disc[b]; this holds for every
+    child of a root, so a root with one child is listed though nothing is cut
+    off). Obstacles keep index -1. The same search records each free cell's
+    component as the flat index of its tree root in grid._components (-1 on
+    obstacles); a free cell without a free neighbour is a root of its own.
+    """
+    cut = grid._cut_vertices
+    if cut is None:
+        nbrs = _neighbour_table(grid)
+        n = len(nbrs)
+        disc, last, low, comp = [-1] * n, [-1] * n, [0] * n, [-1] * n
+        separated = {}
+        t = 0
+        for root in np.flatnonzero(~grid.obstacles).tolist():
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = t
+            comp[root] = root
+            t += 1
+            stack = [(root, -1, iter(nbrs[root]))]  # (cell, its parent, unvisited neighbours)
+            while stack:
+                v, p, rest = stack[-1]
+                low_v = low[v]
+                for c in rest:
+                    dc = disc[c]
+                    if dc < 0:
+                        low[v] = low_v
+                        disc[c] = low[c] = t
+                        comp[c] = root
+                        t += 1
+                        stack.append((c, v, iter(nbrs[c])))
+                        break
+                    if dc < low_v and c != p:
+                        low_v = dc
+                else:
+                    stack.pop()
+                    low[v] = low_v
+                    last[v] = t - 1
+                    if p >= 0:
+                        if low_v < low[p]:
+                            low[p] = low_v
+                        if low_v >= disc[p]:
+                            separated.setdefault(p, []).append(v)
+        grid._components = array("i", comp)
+        cut = grid._cut_vertices = (array("i", disc), array("i", last), separated)
+    return cut
+
+
+def _connected(grid: GridMap, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """Are free cells a and b, each (row, col), in one 4-connected component?"""
+    if grid._components is None:
+        _cut_vertices(grid)
+    comp, w = grid._components, grid.width
+    return comp[a[0] * w + a[1]] == comp[b[0] * w + b[1]]
+
+
+def _separates(grid: GridMap, b: int, s: int, g: int) -> bool:
+    """Does every path from flat cell s to flat cell g pass flat cell b?
+
+    s, g and b must lie in one component, with s != b. They are separated
+    when g is b, or when one of the subtrees that b separates holds exactly
+    one of s and g.
+    """
+    disc, last, separated = _cut_vertices(grid)
+    ds, dg = disc[s], disc[g]
+    for c in separated.get(b, ()):
+        lo, hi = disc[c], last[c]
+        if (lo <= ds <= hi) != (lo <= dg <= hi):
+            return True
+    return g == b
 
 
 def read_map(text: str) -> GridMap:
@@ -165,9 +273,8 @@ class Scenario:
         for cell in self.starts + self.goals:
             if not self.grid.is_free(*cell):
                 raise ValueError(f"cell {cell} is not free")
-        labels = _component_labels(self.grid.obstacles)
         for i, (s, g) in enumerate(zip(self.starts, self.goals)):
-            if labels[s] != labels[g]:
+            if not _connected(self.grid, s, g):
                 raise ValueError(f"agent {i}: goal {g} unreachable from start {s}")
 
     def to_json(self, map_ref: str | None = None) -> str:
@@ -181,42 +288,48 @@ class Scenario:
 
 
 def scenario_from_json(text: str, base_dir: str = ".") -> Scenario:
+    """A validated scenario from its JSON text; a map path is read relative to
+    base_dir. Malformed fields raise ValueError naming the field."""
     obj = json.loads(text)
-    map_ref = obj["map"]
-    if "\n" in map_ref:
-        grid = read_map(map_ref)
-    else:
-        with open(os.path.join(base_dir, map_ref)) as f:
-            grid = read_map(f.read())
-    scn = Scenario(
-        grid=grid,
-        starts=[tuple(c) for c in obj["starts"]],
-        goals=[tuple(c) for c in obj["goals"]],
-        seed=int(obj.get("seed", 0)),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError(f"need a JSON object with map, starts and goals, got {type(obj).__name__}")
+    seed = obj.get("seed", 0)
+    if not _is_int(seed):
+        raise ValueError(f"seed: {seed!r} is not an integer")
+    scn = Scenario(_map_from_ref(obj["map"], base_dir), _cells(obj, "starts"), _cells(obj, "goals"), seed)
     scn.validate()
     return scn
 
 
-def _component_labels(obstacles: np.ndarray) -> np.ndarray:
-    """4-connected component label per cell (-1 on obstacles)."""
-    h, w = obstacles.shape
-    labels = np.full((h, w), -1, dtype=np.int32)
-    current = 0
-    for r in range(h):
-        for c in range(w):
-            if obstacles[r, c] or labels[r, c] >= 0:
-                continue
-            stack = [(r, c)]
-            labels[r, c] = current
-            while stack:
-                cr, cc = stack.pop()
-                for nr, nc in ((cr - 1, cc), (cr + 1, cc), (cr, cc - 1), (cr, cc + 1)):
-                    if 0 <= nr < h and 0 <= nc < w and not obstacles[nr, nc] and labels[nr, nc] < 0:
-                        labels[nr, nc] = current
-                        stack.append((nr, nc))
-            current += 1
-    return labels
+def _map_from_ref(ref, base_dir: str = ".") -> GridMap:
+    """A map given inline as map text (it holds a newline) or as the path of a
+    map file relative to base_dir."""
+    if not isinstance(ref, str):
+        raise ValueError(f"map: need map text or the path of a map file, got {type(ref).__name__}")
+    if "\n" in ref:
+        return read_map(ref)
+    with open(os.path.join(base_dir, ref)) as f:
+        return read_map(f.read())
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_cell(x) -> bool:
+    """Is x a [row, col] pair of integers, as a JSON file holds a cell?"""
+    return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _is_int(x[1])
+
+
+def _cells(obj: dict, key: str) -> list[tuple[int, int]]:
+    """obj[key] as (row, col) cells; a ValueError names a malformed entry."""
+    cells = obj[key]
+    if not isinstance(cells, list):
+        raise ValueError(f"{key}: need a list of [row, col] cells, got {type(cells).__name__}")
+    for i, cell in enumerate(cells):
+        if not _is_cell(cell):
+            raise ValueError(f"{key}[{i}]: {cell!r} is not a [row, col] pair of integers")
+    return [tuple(cell) for cell in cells]
 
 
 def _place_agents(grid: GridMap, n_agents: int, rng: SplitMix64) -> tuple[list, list]:
@@ -224,12 +337,11 @@ def _place_agents(grid: GridMap, n_agents: int, rng: SplitMix64) -> tuple[list, 
     free = grid.free_cells()
     if len(free) < n_agents:
         raise MapGenError(f"{len(free)} free cells cannot host {n_agents} agents")
-    labels = _component_labels(grid.obstacles)
     starts = rng.sample(free, n_agents)
     goals = rng.sample(free, n_agents)
     for i in range(n_agents):
         tries = 0
-        while labels[starts[i]] != labels[goals[i]]:
+        while not _connected(grid, starts[i], goals[i]):
             tries += 1
             if tries > RETRY_BUDGET:
                 raise MapGenError(f"agent {i}: no connected start-goal pair after {RETRY_BUDGET} retries")
@@ -246,11 +358,7 @@ def gen_random(width: int, height: int, density: float, n_agents: int, seed: int
         raise ValueError("density must lie in [0, 0.5]")
     rng = SplitMix64(seed)
     for _ in range(RETRY_BUDGET):
-        obstacles = np.zeros((height, width), dtype=bool)
-        for r in range(height):
-            for c in range(width):
-                obstacles[r, c] = rng.random() < density
-        grid = GridMap(obstacles)
+        grid = GridMap([[rng.random() < density for _ in range(width)] for _ in range(height)])
         try:
             starts, goals = _place_agents(grid, n_agents, rng)
         except MapGenError:
@@ -274,11 +382,7 @@ def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
     doors: set[tuple[int, int]] = set()
 
     def door_adjacent(cells) -> bool:
-        for r, c in cells:
-            if ((r - 1, c) in doors or (r + 1, c) in doors
-                    or (r, c - 1) in doors or (r, c + 1) in doors):
-                return True
-        return False
+        return any(n in doors for r, c in cells for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
 
     def split(r0: int, c0: int, h: int, w: int, depth: int) -> None:
         can_h = h >= 2 * _MIN_ROOM_SIDE + 1
@@ -298,8 +402,7 @@ def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
                 return
             R = rng.choice(lines)
             door = (R, c0 + rng.randrange(w))
-            for c in range(c0, c0 + w):
-                obstacles[R, c] = True
+            obstacles[R, c0:c0 + w] = True
             obstacles[door] = False
             doors.add(door)
             split(r0, c0, R - r0, w, depth + 1)
@@ -311,8 +414,7 @@ def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
                 return
             C = rng.choice(lines)
             door = (r0 + rng.randrange(h), C)
-            for r in range(r0, r0 + h):
-                obstacles[r, C] = True
+            obstacles[r0:r0 + h, C] = True
             obstacles[door] = False
             doors.add(door)
             split(r0, c0, h, C - c0, depth + 1)

@@ -4,8 +4,8 @@ Shortest paths are realized as greedy descent over an exact BFS distance
 field with the fixed neighbor order Up, Down, Left, Right. For unit edge
 costs this returns the same lengths an open-list search would, but one BFS
 per goal is amortized across every timestep and agent that plans to it.
-Every search runs on one BFS kernel over a flat neighbour table built once
-per map; the goal's BFS also records each cell's immediate dominator, which
+Every search runs on one BFS kernel over the map's flat neighbour table (see
+mapgen); the goal's BFS also records each cell's immediate dominator, which
 blocking detection walks, and every step toward a cell (a path, a greedy
 step, the scripted policies' moves) is one descent helper over that table.
 Descent is deterministic, so the path from any cell on a planned path is
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapgen import GridMap
+from .mapgen import GridMap, _neighbour_table
 
 # Action indices shared across the stack; Idle must be 0 (the tie-breaking
 # resolver substitutes action 0). STOP marks a path's terminal vertex and is
@@ -36,33 +36,6 @@ UNREACHABLE = -1
 
 class NoPathError(RuntimeError):
     """Raised when a requested path does not exist."""
-
-
-def _neighbour_table(grid: GridMap) -> list[tuple[int, ...]]:
-    """Free 4-neighbours of every cell by flat index r * width + c, in Up,
-    Down, Left, Right order (obstacles get no entry). Built once per map."""
-    table = grid._neighbour_table
-    if table is None:
-        h, w = grid.height, grid.width
-        free = (~grid.obstacles).ravel().tolist()
-        table = []
-        for i in range(h * w):
-            if not free[i]:
-                table.append(())
-                continue
-            r, c = divmod(i, w)
-            cell = []
-            if r > 0 and free[i - w]:
-                cell.append(i - w)
-            if r < h - 1 and free[i + w]:
-                cell.append(i + w)
-            if c > 0 and free[i - 1]:
-                cell.append(i - 1)
-            if c < w - 1 and free[i + 1]:
-                cell.append(i + 1)
-            table.append(tuple(cell))
-        grid._neighbour_table = table
-    return table
 
 
 def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,

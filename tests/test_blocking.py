@@ -9,6 +9,7 @@ cut-vertex test that settles blocked pairs without a detour search against
 the masked BFS kernel.
 """
 
+import re
 import sys
 from collections import deque
 
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svo_mapf import mapgen, pathing
-from svo_mapf.gridworld import _blocks_agent, _cut_vertices, _separates
+from svo_mapf.gridworld import _blocks_agent
+from svo_mapf.mapgen import _cut_vertices, _separates
 from svo_mapf.pathing import UNREACHABLE, _bfs, distance_field
 
 THRESHOLDS = (0, 1, 3, 10, 30)
@@ -250,8 +252,17 @@ def components(grid):
     return label
 
 
+def search_components(grid):
+    """Flat cell -> component root, as the map's depth-first search records it."""
+    _cut_vertices(grid)
+    return {v: root for v, root in enumerate(grid._components) if root >= 0}
+
+
 def assert_cut_test_matches_masked_bfs(grid, triples):
     label = components(grid)
+    # both label a component by its smallest flat cell, so the partitions
+    # agree exactly when the labels do
+    assert search_components(grid) == label
     checked = 0
     for b, s, g in triples:
         if s == b or not (label[b] == label[s] == label[g]):
@@ -291,6 +302,28 @@ def test_cut_test_exhaustive_with_a_root_cut_vertex_and_three_components():
     flat = [r * grid.width + c for r, c in grid.free_cells()]
     triples = [(b, s, g) for b in flat for s in flat for g in flat]
     assert assert_cut_test_matches_masked_bfs(grid, triples) > 1000
+
+
+def test_isolated_cells_are_components_of_their_own():
+    # (0, 0) and (0, 2) have no free neighbour; the bottom row is a third component
+    grid = mapgen.GridMap(np.array([[0, 1, 0], [1, 1, 1], [0, 0, 0]], dtype=bool))
+    assert search_components(grid) == components(grid) == {0: 0, 2: 2, 6: 6, 7: 6, 8: 6}
+    assert list(grid._components) == [0, -1, 2, -1, -1, -1, 6, 6, 6]
+    for start, goal in (((0, 0), (0, 2)), ((0, 2), (0, 0)), ((0, 0), (2, 0))):
+        with pytest.raises(ValueError, match=re.escape(f"agent 0: goal {goal} unreachable from start {start}")):
+            mapgen.Scenario(grid, [start], [goal], 0).validate()
+    mapgen.Scenario(grid, [(0, 0), (0, 2)], [(0, 0), (0, 2)], 0).validate()
+
+
+def test_one_search_per_map():
+    # agent placement builds the graph; validating again reuses it
+    scn = mapgen.gen_room(16, 16, 4, seed=1)
+    grid = scn.grid
+    table, cut, comp = grid._neighbour_table, grid._cut_vertices, grid._components
+    assert table is not None and cut is not None and comp is not None
+    scn.validate()
+    mapgen.Scenario(grid, scn.goals, scn.starts, 0).validate()
+    assert grid._neighbour_table is table and grid._cut_vertices is cut and grid._components is comp
 
 
 def test_cut_structure_is_bounded_and_built_without_recursion():

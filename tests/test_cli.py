@@ -166,7 +166,8 @@ def test_train_command_and_checkpoint_runs(tmp_path, capsys):
     info = json.loads(out.splitlines()[-1])
     assert os.path.exists(info["checkpoint"])
     assert os.path.exists(info["curve"])
-    header = open(info["curve"]).readline().strip()
+    with open(info["curve"]) as f:
+        header = f.readline().strip()
     assert header == "iteration,env_steps,mean_reward,goals,ep_len"
     # the checkpoint drives the run command
     scn_dir = tmp_path / "scn"
@@ -277,6 +278,25 @@ def _snapshot(**changes):
     return make_args
 
 
+def _scenario_file(value=None, **changes):
+    """run --scenario args for a one-agent scenario on an inline 3x3 map with
+    the given fields replaced, or for a file holding the given JSON value."""
+    def make_args(tmp_path):
+        scenario = {"map": "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n",
+                    "starts": [[0, 0]], "goals": [[2, 2]], "seed": 0}
+        scenario.update(changes)
+        (tmp_path / "s.scen.json").write_text(json.dumps(scenario if value is None else value))
+        return ["run", "--scenario", "s.scen.json"]
+    return make_args
+
+
+def _max_steps(steps):
+    def make_args(tmp_path):
+        cli.main(["gen-map", "--kind", "recess", "--seed", "1", "--out", "."])
+        return ["run", "--scenario", "recess-1.scen.json", "--max-steps", steps]
+    return make_args
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_bad_train_config, "block_threshold must be >= 0, got -1"),
     (_height_one_map, "line 2: height must be at least 2, got 1"),
@@ -306,12 +326,27 @@ def _snapshot(**changes):
     (_replay([[[0, 0]], [[0, 1]]], ["x"]), "speeds.json: speed 0 ('x') is not a finite number"),
     (_replay([[[0, 0]], [[0, 1]]], {"a": 1}),
      "speeds.json: need a JSON array of speed multipliers, got dict"),
+    (_scenario_file([1, 2]), "need a JSON object with map, starts and goals, got list"),
+    (_scenario_file(map=5), "map: need map text or the path of a map file, got int"),
+    (_scenario_file(starts=[[0]]), "starts[0]: [0] is not a [row, col] pair of integers"),
+    (_scenario_file(starts=7), "starts: need a list of [row, col] cells, got int"),
+    (_scenario_file(starts=[[1.5, 2]]), "starts[0]: [1.5, 2] is not a [row, col] pair of integers"),
+    (_scenario_file(seed=None), "seed: None is not an integer"),
+    (_snapshot(map=5), "map: need map text or the path of a map file, got int"),
+    (lambda tmp_path: ["bench", "--family", "random", "--size", "8", "--instances", "0",
+                       "--out", "r.json"], "instances must be at least 1, got 0"),
+    (_max_steps("0"), "max_episode_length must be a positive integer, got 0"),
+    (_max_steps("-3"), "max_episode_length must be a positive integer, got -3"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
         "resolve-fractional-intent", "resolve-intent-7", "resolve-short-intents",
         "resolve-svo-90", "resolve-negative-svo", "even-fov", "resolve-not-an-object",
-        "replay-adg-not-pairs", "replay-adg-speed-not-a-number", "replay-adg-speeds-object"])
+        "replay-adg-not-pairs", "replay-adg-speed-not-a-number", "replay-adg-speeds-object",
+        "scenario-not-an-object", "scenario-map-not-a-string", "scenario-start-not-a-pair",
+        "scenario-starts-not-a-list", "scenario-fractional-start", "scenario-seed-null",
+        "resolve-map-not-a-string", "bench-zero-instances", "run-zero-max-steps",
+        "run-negative-max-steps"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)
