@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
-from .mapgen import _is_cell, _is_int, _map_from_ref
+from .mapgen import _is_cell, _is_int, _is_number, _map_from_ref, _require_keys
 from .resolver import resolve as resolver_resolve
 
 
@@ -50,7 +49,8 @@ def _cmd_gen_map(args) -> int:
 
 def _cmd_run(args) -> int:
     with open(args.scenario) as f:
-        scenario = mapgen.scenario_from_json(f.read(), base_dir=os.path.dirname(args.scenario) or ".")
+        scenario = mapgen.scenario_from_json(f.read(), base_dir=os.path.dirname(args.scenario) or ".",
+                                             source=args.scenario)
     env_cfg = EnvConfig(max_episode_length=args.max_steps)
     policy = harness.make_policy(args.policy, env_cfg)
     records: list[str] = []
@@ -78,10 +78,6 @@ def _cmd_run(args) -> int:
             f.write("\n".join(records) + "\n")
     print(json.dumps(metrics, sort_keys=True))
     return 0
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _check_snapshot(grid, state) -> None:
@@ -115,6 +111,7 @@ def _cmd_resolve(args) -> int:
     if not isinstance(state, dict):
         raise ValueError(f"{args.state}: need a JSON object with map, positions, intents "
                          f"and svos, got {type(state).__name__}")
+    _require_keys(state, ("map", "positions", "intents", "svos"), args.state)
     grid = _map_from_ref(state["map"])
     _check_snapshot(grid, state)
     positions = [tuple(p) for p in state["positions"]]

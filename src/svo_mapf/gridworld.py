@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapgen import Scenario, _is_int, _separates
+from .mapgen import Scenario, _check_field_types, _is_int, _separates
 from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
@@ -38,8 +38,8 @@ class EnvConfig:
     svo_importance: float = DEFAULT_SVO_IMPORTANCE
     overlap_cap: float = DEFAULT_OVERLAP_CAP
     block_threshold: int = 10
-    # Blocking detection walks a dominator chain per agent pair and searches
-    # for a detour when the chain holds the blocker; batch safety fuzzes that
+    # Blocking detection walks each agent's dominator chain and searches for a
+    # detour when a chain holds a blocker; batch safety fuzzes that
     # never read rewards can turn it off.
     blocking_rewards: bool = True
 
@@ -50,6 +50,7 @@ class EnvConfig:
         # The field of view is centred on the agent, so it needs a middle cell.
         if not (_is_int(self.fov) and self.fov > 0 and self.fov % 2 == 1):
             raise ValueError(f"fov must be a positive odd integer, got {self.fov!r}")
+        _check_field_types(self)
         # A negative threshold would count a cell on only some shortest paths
         # as blocking: no detour is shorter than the shortest path.
         if self.block_threshold < 0:
@@ -88,6 +89,13 @@ class Gridworld:
         self.partners = np.arange(self.n, dtype=np.int64)
         # standing SVO choice per agent over the bins; uniform before the first
         self.svo = np.full((self.n, k), 1.0 / k)
+        # what detect_blocking keeps: each agent's dominator chain for the
+        # joint state _chains_at, the on-chain verdicts of that joint state
+        # and those of the one before
+        self._chains_at = None
+        self._chains = []
+        self._verdicts = {}
+        self._verdicts_before = {}
 
     def on_goal(self) -> np.ndarray:
         return np.array([self.positions[i] == self.goals[i] for i in range(self.n)])
@@ -149,40 +157,52 @@ class Gridworld:
         return StepOutcome(rewards, blocked)
 
 
+_NO_CHAIN = frozenset()
+
+
+def _dominator_chain(grid, start, goal):
+    """Flat cells on every shortest path from start to goal: start's dominator
+    chain toward the goal, both ends included. Empty when start is the goal
+    or cannot reach it, for then nothing blocks it."""
+    if start == goal:
+        return _NO_CHAIN
+    dist, idom, _, _ = _goal_entry(grid, goal)
+    w = grid.width
+    cell = start[0] * w + start[1]
+    if dist[cell] == UNREACHABLE:
+        return _NO_CHAIN
+    g = goal[0] * w + goal[1]
+    chain = {cell}
+    while cell != g:
+        cell = idom[cell]
+        chain.add(cell)
+    return chain
+
+
+def _chokes(grid, b, start, goal, threshold) -> bool:
+    """Does flat cell b, on start's dominator chain toward goal, choke start's
+    route? It does when it is start, or a cut vertex between start and goal,
+    or when a detour search that never enters b and prunes every cell whose
+    depth plus goal distance exceeds d0 + threshold cannot reach the goal."""
+    w = grid.width
+    s = start[0] * w + start[1]
+    g = goal[0] * w + goal[1]
+    if b == s or _separates(grid, b, s, g):
+        return True
+    dist = _goal_entry(grid, goal)[0]
+    return _bfs(grid, s, target=g, removed=b, bound=dist[s] + threshold, h=dist)[g] == UNREACHABLE
+
+
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
     """Does treating blocker_cell as an obstacle choke start's route to goal?
 
     Removing a cell lengthens the shortest distance d0 only if the cell is on
     every shortest path, i.e. on start's dominator chain toward the goal.
-    Off the chain a path of length d0 <= d0 + threshold survives. On it, a
-    blocker that is a cut vertex between start and goal leaves no path at
-    all; otherwise a detour search that never enters the blocker and prunes
-    every cell whose depth plus goal distance exceeds d0 + threshold decides:
-    blocked iff it cannot reach the goal.
+    Off the chain a path of length d0 <= d0 + threshold survives; on it,
+    _chokes decides.
     """
-    if start == goal:
-        return False
-    dist, idom, _, _ = _goal_entry(grid, goal)
-    w = grid.width
-    s = start[0] * w + start[1]
-    b = blocker_cell[0] * w + blocker_cell[1]
-    d0 = dist[s]
-    if d0 == UNREACHABLE:
-        return False
-    via = dist[b]
-    if via == UNREACHABLE:
-        return False
-    if b == s:
-        return True
-    cell = s
-    while dist[cell] > via:
-        cell = idom[cell]
-    if cell != b:
-        return False
-    g = goal[0] * w + goal[1]
-    if _separates(grid, b, s, g):
-        return True
-    return _bfs(grid, s, target=g, removed=b, bound=d0 + threshold, h=dist)[g] == UNREACHABLE
+    b = blocker_cell[0] * grid.width + blocker_cell[1]
+    return b in _dominator_chain(grid, start, goal) and _chokes(grid, b, start, goal, threshold)
 
 
 def detect_blocking(env: Gridworld, agent: int) -> int:
@@ -191,14 +211,38 @@ def detect_blocking(env: Gridworld, agent: int) -> int:
     Agent j counts as blocked when treating agent's cell as an obstacle makes
     j's goal unreachable or lengthens its shortest path by more than the
     configured threshold relative to the unobstructed distance field.
+
+    With the environment's map and threshold fixed, (blocker cell, start,
+    goal) decides a verdict, so the environment keeps what a joint state
+    settled: each agent's dominator chain as a set, so a blocker off it costs
+    one lookup, and the verdicts of blockers on it, which the next joint state
+    reuses for every pair whose two cells did not move. Only the current and
+    the previous joint state are kept, at most 2 n (n - 1) verdicts.
     """
-    threshold = env.config.block_threshold
-    cell = env.positions[agent]
+    positions = env.positions
+    if env._chains_at != positions:
+        env._chains_at = list(positions)
+        env._chains = [None] * env.n
+        env._verdicts_before, env._verdicts = env._verdicts, {}
+    grid, goals, chains, verdicts = env.grid, env.goals, env._chains, env._verdicts
+    r, c = positions[agent]
+    b = r * grid.width + c
     count = 0
     for j in range(env.n):
-        if j != agent and _blocks_agent(env.grid, cell, env.positions[j],
-                                        env.goals[j], threshold):
-            count += 1
+        if j == agent:
+            continue
+        chain = chains[j]
+        if chain is None:
+            chain = chains[j] = _dominator_chain(grid, positions[j], goals[j])
+        if b in chain:
+            key = (b, positions[j], goals[j])
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = env._verdicts_before.get(key)
+                if verdict is None:
+                    verdict = _chokes(grid, b, positions[j], goals[j], env.config.block_threshold)
+                verdicts[key] = verdict
+            count += verdict
     return count
 
 

@@ -173,13 +173,15 @@ def episode_steps(env: Gridworld, policy, trace_social: bool = False):
 
     Each step computes the overlap (only when the policy or trace_social needs
     it) and updates the fixed partners, asks policy.step(env, overlap) for
-    intents and SVO angles, resolves them and steps the environment.
+    intents and SVO angles, resolves them and steps the environment. The
+    episode hands each step's overlap to the next step's computation, which
+    reuses what the joint move left unchanged.
     """
+    overlap = None
     while not env.terminated:
-        overlap = None
         if policy.needs_social or trace_social:
             overlap = social.compute_overlap(env.grid, env.positions, env.goals,
-                                             env.config.overlap_decay)
+                                             env.config.overlap_decay, previous=overlap)
             if env.t == 0:
                 env.partners = overlap.partners.copy()
             else:

@@ -16,14 +16,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, _obstacle_plane, obs_length, observe
 from .harness import episode_steps
-from .mapgen import sample_corridor
+from .mapgen import _check_field_types, _is_int, sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
 from .rng import SplitMix64, derive_seed
 
@@ -59,6 +59,7 @@ class SmpConfig:
     normalize_advantages: bool = True
 
     def __post_init__(self):
+        _check_field_types(self)
         if not (0.0 < self.gamma <= 1.0 and 0.0 <= self.lam <= 1.0):
             raise ValueError("gamma in (0,1], lam in [0,1]")
         if self.clip_eps <= 0:
@@ -520,6 +521,12 @@ class TrainConfig:
     seed: int = 0
     param_scale: float = 0.1
 
+    def __post_init__(self):
+        _check_field_types(self)
+        lengths = self.corridor_lengths
+        if not (isinstance(lengths, tuple) and len(lengths) == 2 and all(map(_is_int, lengths))):
+            raise ValueError(f"corridor_lengths: {lengths!r} is not a pair of integers")
+
     def to_json(self) -> str:
         obj = asdict(self)
         obj["corridor_lengths"] = list(self.corridor_lengths)
@@ -527,11 +534,24 @@ class TrainConfig:
 
     @staticmethod
     def from_json(text: str) -> "TrainConfig":
-        obj = json.loads(text)
-        smp = SmpConfig(**obj.pop("smp", {}))
-        env = EnvConfig(**obj.pop("env", {}))
-        obj["corridor_lengths"] = tuple(obj.get("corridor_lengths", (5, 12)))
+        """The recipe a JSON object describes; absent fields keep their
+        defaults. A ValueError names an unknown or mistyped field."""
+        obj = _config_fields(json.loads(text), TrainConfig, "config")
+        smp = SmpConfig(**_config_fields(obj.pop("smp", {}), SmpConfig, "smp"))
+        env = EnvConfig(**_config_fields(obj.pop("env", {}), EnvConfig, "env"))
+        if isinstance(obj.get("corridor_lengths"), list):
+            obj["corridor_lengths"] = tuple(obj["corridor_lengths"])
         return TrainConfig(smp=smp, env=env, **obj)
+
+
+def _config_fields(obj, cls, name: str) -> dict:
+    """obj, checked to be a JSON object holding only fields of cls."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: need a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{name}: unknown field {unknown[0]!r}")
+    return obj
 
 
 def config_hash(cfg: TrainConfig) -> str:

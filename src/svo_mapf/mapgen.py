@@ -10,10 +10,11 @@ arguments and seed (see rng.SplitMix64).
 from __future__ import annotations
 
 import json
+import math
 import os
 from array import array
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -287,12 +288,15 @@ class Scenario:
         return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def scenario_from_json(text: str, base_dir: str = ".") -> Scenario:
+def scenario_from_json(text: str, base_dir: str = ".", source: str = "scenario") -> Scenario:
     """A validated scenario from its JSON text; a map path is read relative to
-    base_dir. Malformed fields raise ValueError naming the field."""
+    base_dir. Malformed fields raise ValueError naming the field; a missing
+    key or a value that is not an object names source (the file) as well."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ValueError(f"need a JSON object with map, starts and goals, got {type(obj).__name__}")
+        raise ValueError(f"{source}: need a JSON object with map, starts and goals, "
+                         f"got {type(obj).__name__}")
+    _require_keys(obj, ("map", "starts", "goals"), source)
     seed = obj.get("seed", 0)
     if not _is_int(seed):
         raise ValueError(f"seed: {seed!r} is not an integer")
@@ -312,8 +316,34 @@ def _map_from_ref(ref, base_dir: str = ".") -> GridMap:
         return read_map(f.read())
 
 
+def _require_keys(obj: dict, keys, source: str) -> None:
+    """Raise ValueError naming source and the first of keys that obj lacks."""
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{source}: missing key {key!r}")
+
+
 def _is_int(x) -> bool:
     return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+_FIELD_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a finite number"),
+                 "bool": (lambda x: isinstance(x, bool), "true or false")}
+
+
+def _check_field_types(config) -> None:
+    """Raise ValueError naming the first int, float or bool field of a
+    dataclass instance that holds a value of another type. An int passes as
+    a float."""
+    for f in fields(config):
+        # a postponed annotation is the type's name
+        check = _FIELD_CHECKS.get(getattr(f.type, "__name__", f.type))
+        if check is not None and not check[0](getattr(config, f.name)):
+            raise ValueError(f"{f.name}: {getattr(config, f.name)!r} is not {check[1]}")
 
 
 def _is_cell(x) -> bool:

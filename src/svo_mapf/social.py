@@ -12,7 +12,7 @@ a weight driven by that same overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,21 @@ def svo_bin_angles(n_bins: int = DEFAULT_SVO_BINS) -> np.ndarray:
 
 @dataclass
 class OverlapResult:
-    """Weighted path-flow overlap matrix plus derived temporary partners."""
+    """Weighted path-flow overlap matrix plus derived temporary partners.
+
+    visits and hits are what the next step's call reuses (see compute_overlap).
+    """
 
     matrix: np.ndarray          # symmetric n x n, zero diagonal
     partners: np.ndarray        # temporary partner per agent (self = no conflict)
     flows: list[PathFlow]       # per-agent planned flow used for the overlap
     unreachable: list[int]      # agents whose goal had no path this step
+    # per agent, its flow as cell -> (t, direction)
+    visits: list[dict] = field(repr=False)
+    # symmetric n x n: the pair shares a cell with differing directions. A hit
+    # can sum to 0.0 (decay ** t underflows on long paths), so the matrix
+    # cannot stand in for it.
+    hits: np.ndarray = field(repr=False)
 
 
 def agent_flow(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int]) -> tuple[PathFlow, bool]:
@@ -55,6 +64,7 @@ def compute_overlap(
     positions: list[tuple[int, int]],
     goals: list[tuple[int, int]],
     decay: float = DEFAULT_OVERLAP_DECAY,
+    previous: OverlapResult | None = None,
 ) -> OverlapResult:
     """Pairwise weighted overlap of planned path flows, and temporary partners.
 
@@ -64,42 +74,75 @@ def compute_overlap(
     which differs from every movement direction, so paths crossing another
     agent's terminal cell do register overlap. Partners are the row argmax
     (lowest index on ties); an all-zero row selects the agent itself.
+
+    previous, this call's result one step earlier on the same map, goals and
+    decay, lets the call reuse what the step left unchanged; the result is
+    the same, bit for bit. A flow is a function of (position, goal) alone and
+    a pair's sum a function of its two flows, so an agent on the same cell
+    keeps its flow and visit map, and a pair whose agents both stayed keeps
+    its sum. A pair without a hit also keeps its zero when each agent stayed
+    or stepped onto vertices[1] of its old flow: descent is deterministic (see
+    pathing), so the new flow is the old one's suffix and the shared cells
+    can only shrink.
     """
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must lie in (0, 1]")
     n = len(positions)
     if len(goals) != n:
         raise ValueError("positions and goals must have equal length")
-    flows = []
-    unreachable = []
-    for i in range(n):
-        flow, ok = agent_flow(grid, positions[i], goals[i])
+    if previous is not None and len(previous.flows) != n:
+        raise ValueError("previous result holds another number of agents")
+    flows, visits, unreachable = [], [], []
+    stayed, along = [False] * n, [False] * n  # along: stayed or stepped onto the old flow
+    was_unreachable = set(previous.unreachable) if previous is not None else ()
+    for i, pos in enumerate(positions):
+        if previous is not None:
+            old = previous.flows[i].vertices
+            if old[0] == pos:
+                stayed[i] = along[i] = True
+                flows.append(previous.flows[i])
+                visits.append(previous.visits[i])
+                if i in was_unreachable:
+                    unreachable.append(i)
+                continue
+            along[i] = len(old) > 1 and old[1] == pos
+        flow, ok = agent_flow(grid, pos, goals[i])
         flows.append(flow)
+        visits.append({v: (t, d) for t, (v, d) in enumerate(zip(flow.vertices, flow.directions))})
         if not ok:
             unreachable.append(i)
-    visit_maps = []
-    for flow in flows:
-        visit_maps.append({v: (t, flow.directions[t]) for t, v in enumerate(flow.vertices)})
-    matrix = np.zeros((n, n), dtype=np.float64)
+    if previous is None:
+        matrix = np.zeros((n, n), dtype=np.float64)
+        hits = np.zeros((n, n), dtype=bool)
+    else:
+        matrix = previous.matrix.copy()
+        hits = previous.hits.copy()
+    had = hits.tolist()
+    # Recorded outputs pin each sum's bits: terms are added walking the
+    # smaller visit map in path order (agent i's on a tie), and each power is
+    # Python's float decay ** t, not a numpy power.
+    powers = [decay ** t for t in range(max(map(len, flows), default=0))]
     for i in range(n):
         for j in range(i + 1, n):
-            small, large = visit_maps[i], visit_maps[j]
+            if along[i] and along[j] and ((stayed[i] and stayed[j]) or not had[i][j]):
+                continue
+            small, large = visits[i], visits[j]
             if len(small) > len(large):
                 small, large = large, small
-            total = 0.0
+            total, hit = 0.0, False
             for cell, (t_a, d_a) in small.items():
-                hit = large.get(cell)
-                if hit is not None and hit[1] != d_a:
-                    total += decay ** t_a + decay ** hit[0]
-            if total != 0.0:
-                matrix[i, j] = total
-                matrix[j, i] = total
+                other = large.get(cell)
+                if other is not None and other[1] != d_a:
+                    total += powers[t_a] + powers[other[0]]
+                    hit = True
+            if hit or had[i][j]:
+                matrix[i, j] = matrix[j, i] = total
+                hits[i, j] = hits[j, i] = hit
     partners = np.arange(n, dtype=np.int64)
-    for i in range(n):
-        row = matrix[i]
-        if row.any():
-            partners[i] = int(np.argmax(row))  # argmax takes the lowest index on ties
-    return OverlapResult(matrix, partners, flows, unreachable)
+    conflicted = matrix.any(axis=1)
+    if conflicted.any():
+        partners[conflicted] = matrix[conflicted].argmax(axis=1)  # lowest index on ties
+    return OverlapResult(matrix, partners, flows, unreachable, visits, hits)
 
 
 def update_fixed_partners(

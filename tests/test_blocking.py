@@ -6,7 +6,8 @@ blocker counts when masking its cell makes the goal unreachable or lengthens
 the start's shortest path by more than the threshold. The dominator chains behind the fast predicate are
 checked against brute-force enumeration of every shortest path, and the
 cut-vertex test that settles blocked pairs without a detour search against
-the masked BFS kernel.
+the masked BFS kernel. The verdicts an environment keeps from one joint
+state to the next are checked against the stateless predicate.
 """
 
 import re
@@ -18,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svo_mapf import mapgen, pathing
-from svo_mapf.gridworld import _blocks_agent
+from svo_mapf import harness, mapgen, pathing
+from svo_mapf.gridworld import EnvConfig, Gridworld, _blocks_agent, _dominator_chain, detect_blocking
 from svo_mapf.mapgen import _cut_vertices, _separates
 from svo_mapf.pathing import UNREACHABLE, _bfs, distance_field
+from svo_mapf.rng import SplitMix64, derive_seed
 
 THRESHOLDS = (0, 1, 3, 10, 30)
 FUZZ = settings(deadline=None, derandomize=True, max_examples=300)
@@ -206,6 +208,8 @@ def test_dominator_chain_is_the_set_of_cells_on_every_shortest_path(data):
         for path in _shortest_paths(start, goal, to_goal):
             on_every = set(path) if on_every is None else on_every & set(path)
         assert dominator_chain(grid, start, goal) == on_every, (start, goal)
+        if start != goal:
+            assert {divmod(c, grid.width) for c in _dominator_chain(grid, start, goal)} == on_every
 
 
 def test_dominator_chain_through_a_doorway():
@@ -342,3 +346,52 @@ def test_cut_structure_is_bounded_and_built_without_recursion():
     start, goal = (128, 0), (254, 0)
     assert _blocks_agent(grid, (200, 7), start, goal, 10)
     assert not _blocks_agent(grid, (64, 7), start, goal, 10)  # behind the start
+
+
+def stateless_counts(env):
+    """Agents each agent blocks, from _blocks_agent over all ordered pairs."""
+    t = env.config.block_threshold
+    return [sum(_blocks_agent(env.grid, env.positions[i], env.positions[j], env.goals[j], t)
+                for j in range(env.n) if j != i) for i in range(env.n)]
+
+
+@pytest.mark.parametrize("family", ["room", "random"])
+@pytest.mark.parametrize("policy", ["hetero", "greedy"])
+def test_kept_verdicts_match_the_stateless_predicate_every_step(family, policy):
+    reused = 0
+    for k, threshold in enumerate((10, 0, 3, 30)):
+        seed = derive_seed(5050, k)
+        if family == "room":
+            scn = mapgen.gen_room(24, 24, 12, seed)
+        else:
+            scn = mapgen.gen_random(16, 16, 0.25, 10, seed)
+        env = Gridworld(scn, EnvConfig(max_episode_length=40, block_threshold=threshold))
+        for step in harness.episode_steps(env, harness.make_policy(policy, env.config)):
+            assert step.outcome.blocked_counts.tolist() == stateless_counts(env)
+            assert len(env._verdicts) + len(env._verdicts_before) <= 2 * env.n * (env.n - 1)
+            # a verdict kept by both joint states was read from the earlier one
+            reused += len(env._verdicts.keys() & env._verdicts_before.keys())
+    assert reused > 0
+
+
+def test_detect_blocking_after_agents_are_moved_by_hand():
+    rng = SplitMix64(6060)
+    for k in range(6):
+        scn = mapgen.gen_room(16, 16, 8, derive_seed(6061, k))
+        env = Gridworld(scn, EnvConfig(block_threshold=(0, 2, 10)[k % 3]))
+        free = scn.grid.free_cells()
+        for _ in range(40):
+            # move some agents onto free cells nobody holds, in place or by a new list
+            held = set(env.positions)
+            for i in rng.sample(range(env.n), 1 + rng.randrange(env.n)):
+                cell = free[rng.randrange(len(free))]
+                if cell not in held:
+                    held.discard(env.positions[i])
+                    held.add(cell)
+                    env.positions[i] = cell
+            if rng.random() < 0.5:
+                env.positions = list(env.positions)
+            assert [detect_blocking(env, i) for i in range(env.n)] == stateless_counts(env)
+            assert len(env._verdicts) + len(env._verdicts_before) <= 2 * env.n * (env.n - 1)
+        env.reset()
+        assert env._verdicts == {} and env._verdicts_before == {} and env._chains_at is None

@@ -226,14 +226,12 @@ def test_resolve_five_agent_fixture_via_cli(tmp_path, capsys):
     assert result["iterations"] == 8
 
 
-def _bad_train_config(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"env": {"block_threshold": -1}}))
-    return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
-
-
-def _even_fov_config(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"env": {"fov": 4}}))
-    return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
+def _train_config(value):
+    """train args for a config file holding the given JSON value."""
+    def make_args(tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps(value))
+        return ["train", "--config", "cfg.json", "--quiet", "--out", "out"]
+    return make_args
 
 
 def _replay(records, speeds):
@@ -266,25 +264,30 @@ def _unknown_policy(tmp_path):
     return ["run", "--scenario", "recess-1.scen.json", "--policy", "nobody"]
 
 
-def _snapshot(**changes):
+def _snapshot(drop=(), **changes):
     """resolve --state args for a two-agent snapshot on a 3x3 map, with the
-    given fields replaced."""
+    given fields replaced and the fields in drop left out."""
     def make_args(tmp_path):
         state = {"map": "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n",
                  "positions": [[0, 0], [1, 1]], "intents": [2, 1], "svos": [45.0, 0.0]}
         state.update(changes)
+        for key in drop:
+            del state[key]
         (tmp_path / "state.json").write_text(json.dumps(state))
         return ["resolve", "--state", "state.json"]
     return make_args
 
 
-def _scenario_file(value=None, **changes):
+def _scenario_file(value=None, drop=(), **changes):
     """run --scenario args for a one-agent scenario on an inline 3x3 map with
-    the given fields replaced, or for a file holding the given JSON value."""
+    the given fields replaced and the fields in drop left out, or for a file
+    holding the given JSON value."""
     def make_args(tmp_path):
         scenario = {"map": "type octile\nheight 3\nwidth 3\nmap\n...\n...\n...\n",
                     "starts": [[0, 0]], "goals": [[2, 2]], "seed": 0}
         scenario.update(changes)
+        for key in drop:
+            del scenario[key]
         (tmp_path / "s.scen.json").write_text(json.dumps(scenario if value is None else value))
         return ["run", "--scenario", "s.scen.json"]
     return make_args
@@ -298,7 +301,7 @@ def _max_steps(steps):
 
 
 @pytest.mark.parametrize("make_args, message", [
-    (_bad_train_config, "block_threshold must be >= 0, got -1"),
+    (_train_config({"env": {"block_threshold": -1}}), "block_threshold must be >= 0, got -1"),
     (_height_one_map, "line 2: height must be at least 2, got 1"),
     (lambda tmp_path: ["run", "--scenario", "missing.json"], "No such file or directory: 'missing.json'"),
     (_unknown_policy, "unknown policy 'nobody'; expected greedy, homo, hetero, scripted or trained:PATH"),
@@ -319,7 +322,7 @@ def _max_steps(steps):
     (_snapshot(intents=[2]), "intents: need one entry per agent (2)"),
     (_snapshot(svos=[90, 0.0]), "svos[0]: 90 is not an angle in [0, 45] degrees"),
     (_snapshot(svos=[45.0, -1e-9]), "svos[1]: -1e-09 is not an angle in [0, 45] degrees"),
-    (_even_fov_config, "fov must be a positive odd integer, got 4"),
+    (_train_config({"env": {"fov": 4}}), "fov must be a positive odd integer, got 4"),
     (_state_file([1, 2]), "state.json: need a JSON object with map, positions, intents and "
                           "svos, got list"),
     (_replay([[[0]], [[1]]], [1.0]), "trace.jsonl line 1: position [0] is not a [row, col] pair"),
@@ -337,6 +340,20 @@ def _max_steps(steps):
                        "--out", "r.json"], "instances must be at least 1, got 0"),
     (_max_steps("0"), "max_episode_length must be a positive integer, got 0"),
     (_max_steps("-3"), "max_episode_length must be a positive integer, got -3"),
+    (_train_config({"env": {"block_threshold": "x"}}), "block_threshold: 'x' is not an integer"),
+    (_train_config({"env": {"overlap_decay": None}}), "overlap_decay: None is not a finite number"),
+    (_train_config({"env": {"blocking_rewards": 1}}), "blocking_rewards: 1 is not true or false"),
+    (_train_config({"smp": {"gamma": "0.9"}}), "gamma: '0.9' is not a finite number"),
+    (_train_config({"smp": {"epochs": 2.5}}), "epochs: 2.5 is not an integer"),
+    (_train_config({"total_env_steps": "many"}), "total_env_steps: 'many' is not an integer"),
+    (_train_config({"corridor_lengths": 5}), "corridor_lengths: 5 is not a pair of integers"),
+    (_train_config({"smp": {"gama": 0.9}}), "smp: unknown field 'gama'"),
+    (_train_config({"env": [1]}), "env: need a JSON object, got list"),
+    (_train_config([1]), "config: need a JSON object, got list"),
+    (_scenario_file(drop=["goals"]), "s.scen.json: missing key 'goals'"),
+    (_scenario_file(drop=["map"]), "s.scen.json: missing key 'map'"),
+    (_snapshot(drop=["positions"]), "state.json: missing key 'positions'"),
+    (_snapshot(drop=["svos"]), "state.json: missing key 'svos'"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
@@ -346,7 +363,11 @@ def _max_steps(steps):
         "scenario-not-an-object", "scenario-map-not-a-string", "scenario-start-not-a-pair",
         "scenario-starts-not-a-list", "scenario-fractional-start", "scenario-seed-null",
         "resolve-map-not-a-string", "bench-zero-instances", "run-zero-max-steps",
-        "run-negative-max-steps"])
+        "run-negative-max-steps", "train-threshold-not-a-number", "train-decay-null",
+        "train-blocking-not-a-bool", "train-gamma-a-string", "train-fractional-epochs",
+        "train-steps-a-string", "train-corridor-lengths-not-a-pair", "train-unknown-field",
+        "train-env-not-an-object", "train-config-not-an-object", "scenario-without-goals",
+        "scenario-without-map", "resolve-without-positions", "resolve-without-svos"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)

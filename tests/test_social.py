@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from svo_mapf import mapgen, social
-from svo_mapf.rng import SplitMix64
+from svo_mapf import harness, mapgen, social
+from svo_mapf.gridworld import EnvConfig, Gridworld
+from svo_mapf.rng import SplitMix64, derive_seed
 
 
 def overlap_oracle(flows, decay):
@@ -254,3 +255,96 @@ def test_symmetry_fuzz():
         assert np.array_equal(res.matrix, res.matrix.T)
         assert not res.matrix.diagonal().any()
         assert (res.matrix >= 0).all()
+
+
+def assert_same_overlap(got, want):
+    """Bit-for-bit equal results: matrix and partner bytes (dtype included),
+    unreachable agents, hits and every flow."""
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.partners.dtype == want.partners.dtype
+    assert got.partners.tobytes() == want.partners.tobytes()
+    assert got.unreachable == want.unreachable
+    assert got.hits.tobytes() == want.hits.tobytes()
+    assert [(f.vertices, f.directions) for f in got.flows] == \
+        [(f.vertices, f.directions) for f in want.flows]
+
+
+@pytest.mark.parametrize("family", ["room", "random"])
+@pytest.mark.parametrize("policy", ["hetero", "greedy"])
+def test_episode_overlap_equals_a_cold_call_at_every_step(family, policy):
+    # episode_steps hands each step's overlap to the next step's call; greedy
+    # needs no overlap, so it runs under trace_social
+    steps = 0
+    for k, decay in enumerate((0.95, 0.6, 1.0, 0.8, 0.95, 0.3)):
+        seed = derive_seed(4040, k)
+        if family == "room":
+            scn = mapgen.gen_room(24, 24, 12, seed)
+        else:
+            scn = mapgen.gen_random(16, 16, 0.25, 10, seed)
+        env = Gridworld(scn, EnvConfig(max_episode_length=48, overlap_decay=decay,
+                                       blocking_rewards=False))
+        before = list(env.positions)
+        for step in harness.episode_steps(env, harness.make_policy(policy, env.config),
+                                          trace_social=True):
+            assert_same_overlap(step.overlap, social.compute_overlap(env.grid, before, env.goals, decay))
+            before = list(env.positions)
+            steps += 1
+    assert steps > 150
+
+
+def test_overlap_reuse_fuzz_with_hand_moves():
+    # each agent stays, steps onto its flow's next cell or jumps anywhere;
+    # goals on other components leave some agents unreachable
+    rng = SplitMix64(4242)
+    unreachable = 0
+    for _ in range(80):
+        size = 8 + rng.randrange(8)
+        grid = mapgen.gen_random(size, size, 0.35 * rng.random(), 1, rng.next_u64()).grid
+        free = grid.free_cells()
+        n = 2 + rng.randrange(6)
+        positions, goals = rng.sample(free, n), rng.sample(free, n)
+        decay = 0.5 + 0.5 * rng.random()
+        previous = None
+        for _ in range(10):
+            res = social.compute_overlap(grid, positions, goals, decay, previous=previous)
+            assert_same_overlap(res, social.compute_overlap(grid, positions, goals, decay))
+            unreachable += len(res.unreachable)
+            moved = []
+            for pos, flow in zip(positions, res.flows):
+                roll = rng.random()
+                if roll < 0.4:
+                    moved.append(pos)
+                elif roll < 0.8 and len(flow) > 1:
+                    moved.append(flow.vertices[1])
+                else:
+                    moved.append(free[rng.randrange(len(free))])
+            positions, previous = moved, res
+    assert unreachable > 0
+
+
+def test_an_underflowed_hit_is_still_a_hit():
+    # At decay 0.01, decay ** t underflows to 0.0 past t ~ 161. Agent 1's goal
+    # (STOP) is the one cell the convoy shares with differing directions, 180
+    # steps ahead of both, so the pair has a hit that sums to 0.0. As both
+    # step along their flows the cell comes closer and the sum turns positive;
+    # a reuse rule that read "no hit" from a zero sum would keep it at 0.0.
+    obst = np.ones((3, 402), dtype=bool)
+    obst[1, :] = False
+    grid = mapgen.GridMap(obst)
+    goals = [(1, 400), (1, 181)]
+    previous, sums = None, []
+    for k in range(30):
+        positions = [(1, k), (1, k + 1)]
+        res = social.compute_overlap(grid, positions, goals, 0.01, previous=previous)
+        assert_same_overlap(res, social.compute_overlap(grid, positions, goals, 0.01))
+        assert res.hits[0, 1] and res.hits[1, 0]
+        sums.append(float(res.matrix[0, 1]))
+        previous = res
+    assert sums[0] == 0.0 and sums[-1] > 0.0
+
+
+def test_previous_must_hold_the_same_agents():
+    grid = mapgen.GridMap(np.zeros((3, 3), dtype=bool))
+    res = social.compute_overlap(grid, [(0, 0)], [(2, 2)])
+    with pytest.raises(ValueError, match="number of agents"):
+        social.compute_overlap(grid, [(0, 0), (1, 1)], [(2, 2), (0, 2)], previous=res)
