@@ -32,16 +32,9 @@ print(f"makespan {makespan:.1f}s (cell handovers serialize followers)\n")
 print("--- robot 0 runs 5x slower ---")
 log = simulate_execution(graph, [5.0] + [1.0] * (len(paths) - 1))
 makespan = max(e.t for e in log if e.transition == DONE)
-waits = 0
 enq = {e.task_id: e.t for e in log if e.transition == ENQUEUED}
-for task in graph.tasks:
-    if task.time == 0:
-        continue
-    ready = max((t for d in task.dependencies
-                 for t in [next(e.t for e in log if e.task_id == d and e.transition == DONE)]),
-                default=0.0)
-    if enq[task.task_id] > task.time - 1 + 1e-9 and task.robot_id != 0:
-        waits += 1
+waits = sum(1 for task in graph.tasks
+            if task.time > 0 and task.robot_id != 0 and enq[task.task_id] > task.time - 1 + 1e-9)
 print(f"makespan {makespan:.1f}s; {waits} tasks of the fast robots started late,")
 print("waiting for cells the slow robot had not vacated yet\n")
 

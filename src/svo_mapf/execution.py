@@ -11,9 +11,11 @@ followers queuing through a shared cell simply absorb slight delays.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
-from .rng import SplitMix64, derive_seed
+from .mapgen import _is_int
+from .rng import derived_uniforms
 
 STAGED = "STAGED"
 ENQUEUED = "ENQUEUED"
@@ -30,7 +32,7 @@ class AdgError(RuntimeError):
     """Internal consistency failure (cycle or broken precedence)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class AdgTask:
     task_id: int
     robot_id: int
@@ -55,38 +57,47 @@ class AdgGraph:
 def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
     """Pad to a common horizon and check that the ADG can execute the plan.
 
-    The first failure raises, checked in this order: a shared vertex, a swap,
-    a step that is neither idle nor 4-adjacent, and a rotation (robots that
-    each enter the cell the next one leaves, so each move waits on the next).
+    The first failure raises, checked in this order: a cell that is not a
+    (row, col) pair of integers, a shared vertex, a swap, a step that is
+    neither idle nor 4-adjacent, and a rotation (robots that each enter the
+    cell the next one leaves, so each move waits on the next).
     """
     if not paths or any(len(p) == 0 for p in paths):
         raise PlanError("every robot needs a non-empty path")
     horizon = max(len(p) for p in paths)
     padded = [list(p) + [p[-1]] * (horizon - len(p)) for p in paths]
     n = len(padded)
-    occupant = []   # per t: cell -> robot
-    for t in range(horizon):
-        seen = {}
-        for i in range(n):
-            cell = padded[i][t]
-            if cell in seen:
-                raise PlanError(f"robots {seen[cell]} and {i} share {cell} at t={t}")
-            seen[cell] = i
-        occupant.append(seen)
+    jump = None     # the first step, robot by robot, that is not idle or 4-adjacent
+    for i, path in enumerate(padded):
+        for t, cell in enumerate(path):
+            if not (isinstance(cell, tuple) and len(cell) == 2
+                    and (type(cell[0]) is int or _is_int(cell[0]))
+                    and (type(cell[1]) is int or _is_int(cell[1]))):
+                raise PlanError(f"robot {i} at t={t}: cell {cell!r} is not a (row, col) "
+                                "pair of integers")
+            if t and jump is None and abs(cell[0] - before[0]) + abs(cell[1] - before[1]) > 1:
+                jump = (before, cell)
+            before = cell
+    columns = list(zip(*padded))    # per t, the robots' cells in robot order
+    occupant = [dict(zip(column, range(n))) for column in columns]     # per t: cell -> robot
+    for t, here in enumerate(occupant):
+        if len(here) < n:
+            seen = {}
+            for i, cell in enumerate(columns[t]):
+                if cell in seen:
+                    raise PlanError(f"robots {seen[cell]} and {i} share {cell} at t={t}")
+                seen[cell] = i
     # leaves[t][i]: the robot whose cell robot i enters from t to t+1, in robot
     # order. No two robots enter one cell, so following leaves from i either
     # stops or returns to i: a 2-cycle is a swap, a longer one a rotation.
-    leaves = [{i: here[padded[i][t + 1]] for i in range(n)
-               if padded[i][t + 1] != padded[i][t] and padded[i][t + 1] in here}
-              for t, here in enumerate(occupant[:-1])]
+    leaves = [{i: here[b] for i, (a, b) in enumerate(zip(column, after)) if a != b and b in here}
+              for here, column, after in zip(occupant, columns, columns[1:])]
     for t, step in enumerate(leaves):
         for i, j in step.items():
             if j > i and step.get(j) == i:
                 raise PlanError(f"robots {i} and {j} swap between t={t} and t={t + 1}")
-    for path in padded:
-        for a, b in zip(path, path[1:]):
-            if (abs(b[0] - a[0]), abs(b[1] - a[1])) not in ((0, 0), (0, 1), (1, 0)):
-                raise PlanError(f"plan steps {a} -> {b} are not 4-adjacent")
+    if jump is not None:
+        raise PlanError(f"plan steps {jump[0]} -> {jump[1]} are not 4-adjacent")
     for t, step in enumerate(leaves):
         seen = set()
         for i in step:
@@ -110,30 +121,23 @@ def build_adg(paths: list[list[tuple[int, int]]]) -> AdgGraph:
     per-cell precedence order).
     """
     padded = validate_plan(paths)
-    n = len(padded)
     horizon = len(padded[0]) - 1
     tasks: list[AdgTask] = []
-    robot_tasks: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for t in range(horizon + 1):
-            deps = {robot_tasks[i][-1]} if t else set()
-            robot_tasks[i].append(len(tasks))
-            tasks.append(AdgTask(len(tasks), i, t, dependencies=deps))
-
+    robot_tasks: list[list[int]] = []
     # per-cell visit intervals: a visit starts with the task that arrives and
     # ends with the first task that moves out (None if the robot parks).
     cell_visits: dict = {}
-    for i in range(n):
-        t = 0
-        while t <= horizon:
-            cell = padded[i][t]
-            enter_id = robot_tasks[i][t]
-            leave = t
-            while leave + 1 <= horizon and padded[i][leave + 1] == cell:
-                leave += 1
-            vacate_id = robot_tasks[i][leave + 1] if leave < horizon else None
-            cell_visits.setdefault(cell, []).append((t, enter_id, vacate_id))
-            t = leave + 1
+    for i, path in enumerate(padded):
+        ids = list(range(len(tasks), len(tasks) + horizon + 1))
+        robot_tasks.append(ids)
+        tasks.append(AdgTask(ids[0], i, 0, set()))
+        tasks += [AdgTask(k, i, t, {k - 1}) for t, k in enumerate(ids[1:], 1)]
+        enter = 0
+        for t in range(1, horizon + 1):
+            if path[t] != path[t - 1]:
+                cell_visits.setdefault(path[enter], []).append((enter, ids[enter], ids[t]))
+                enter = t
+        cell_visits.setdefault(path[enter], []).append((enter, ids[enter], None))
     for cell, visits in cell_visits.items():
         visits.sort()
         for (t0, _, vacate0), (t1, enter1, _) in zip(visits, visits[1:]):
@@ -156,10 +160,9 @@ def _dependents(graph: AdgGraph) -> list[list[int]]:
 
 
 def topological_order(graph: AdgGraph) -> list[int]:
-    indeg = {t.task_id: len(t.dependencies) for t in graph.tasks}
+    indeg = [len(t.dependencies) for t in graph.tasks]
     dependents = _dependents(graph)
-    ready = [tid for tid, deg in indeg.items() if deg == 0]
-    heapq.heapify(ready)
+    ready = [tid for tid, deg in enumerate(indeg) if deg == 0]  # ascending, so a heap
     order = []
     while ready:
         tid = heapq.heappop(ready)
@@ -173,7 +176,7 @@ def topological_order(graph: AdgGraph) -> list[int]:
     return order
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecEvent:
     t: float
     task_id: int
@@ -190,50 +193,56 @@ def simulate_execution(
 ) -> list[ExecEvent]:
     """Event-driven execution; returns the status-transition log.
 
-    Each task runs for base_time * speed_profile[robot] * (1 + amplitude * u)
-    seconds, u being a per-task uniform draw from the jitter seed. Anchor
+    Task k runs for base_time * speed_profile[robot] * (1 + jitter_amplitude * u)
+    seconds, u being SplitMix64(derive_seed(jitter_seed, k)).random(). Anchor
     tasks complete instantly at t=0. Statuses move STAGED -> ENQUEUED (all
     dependencies DONE) -> DONE (arrival); the per-robot chain dependency keeps
     at most one task per robot in flight.
     """
-    if any(m <= 0 for m in speed_profile):
-        raise ValueError("speed multipliers must be positive")
+    for m in speed_profile:
+        if not 0 < m < math.inf:
+            raise ValueError(f"speed_profile: speed multipliers must be finite and positive, got {m!r}")
     if len(speed_profile) != len(graph.robot_tasks):
-        raise ValueError("need one speed multiplier per robot")
-    for task in graph.tasks:
-        task.status = STAGED
-    remaining = {t.task_id: len(t.dependencies) for t in graph.tasks}
+        raise ValueError("speed_profile: need one speed multiplier per robot")
+    if not 0 < base_time < math.inf:
+        raise ValueError(f"base_time must be finite and positive, got {base_time!r}")
+    if not -1 <= jitter_amplitude < math.inf:
+        raise ValueError(f"jitter_amplitude must be finite and at least -1, got {jitter_amplitude!r}")
+    tasks = graph.tasks
+    robot = [task.robot_id for task in tasks]
+    duration = [base_time * speed_profile[task.robot_id] * (1.0 + jitter_amplitude * u)
+                if task.time else 0.0
+                for task, u in zip(tasks, derived_uniforms(jitter_seed, len(tasks)))]
+    remaining = [len(task.dependencies) for task in tasks]
     dependents = _dependents(graph)
+    status = [STAGED] * len(tasks)
 
     log: list[ExecEvent] = []
     queue: list[tuple[float, int, int]] = []
-    seq = 0
-
-    def enqueue(task: AdgTask, now: float) -> None:
-        nonlocal seq
-        task.advance(ENQUEUED)
-        log.append(ExecEvent(now, task.task_id, task.robot_id, ENQUEUED))
-        if task.time == 0:
-            duration = 0.0
-        else:
-            u = SplitMix64(derive_seed(jitter_seed, task.task_id)).random()
-            duration = base_time * speed_profile[task.robot_id] * (1.0 + jitter_amplitude * u)
-        heapq.heappush(queue, (now + duration, seq, task.task_id))
-        seq += 1
-
-    for task in graph.tasks:
-        if remaining[task.task_id] == 0:
-            enqueue(task, 0.0)
-    while queue:
+    now = 0.0
+    ready = [tid for tid, count in enumerate(remaining) if count == 0]
+    while True:
+        for tid in ready:
+            if status[tid] != STAGED:
+                raise AdgError(f"task {tid}: illegal transition {status[tid]} -> {ENQUEUED}")
+            status[tid] = ENQUEUED
+            log.append(ExecEvent(now, tid, robot[tid], ENQUEUED))
+            # len(log) grows with every push, so it breaks ties in push order
+            heapq.heappush(queue, (now + duration[tid], len(log), tid))
+        if not queue:
+            break
+        # a task is pushed once, after its STAGED -> ENQUEUED check, so ENQUEUED -> DONE is legal
         now, _, tid = heapq.heappop(queue)
-        task = graph.tasks[tid]
-        task.advance(DONE)
-        log.append(ExecEvent(now, tid, task.robot_id, DONE))
+        status[tid] = DONE
+        log.append(ExecEvent(now, tid, robot[tid], DONE))
+        ready = []
         for nxt in dependents[tid]:
             remaining[nxt] -= 1
             if remaining[nxt] == 0:
-                enqueue(graph.tasks[nxt], now)
-    if any(t.status != DONE for t in graph.tasks):
+                ready.append(nxt)
+    for task, task_status in zip(tasks, status):
+        task.status = task_status
+    if status.count(DONE) != len(tasks):
         raise AdgError("simulation ended with unfinished tasks")
     return log
 

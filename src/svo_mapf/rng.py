@@ -117,12 +117,7 @@ class SplitMix64:
             z = np.arange(1, 2 * k + 1, dtype=np.uint64)
             z *= np.uint64(_GOLDEN)
             z += np.uint64(self.state)
-            z ^= z >> np.uint64(30)
-            z *= np.uint64(_MIX1)
-            z ^= z >> np.uint64(27)
-            z *= np.uint64(_MIX2)
-            z ^= z >> np.uint64(31)
-            u = (z >> np.uint64(11)) * (2.0 ** -53)
+            u = (_mix(z) >> np.uint64(11)) * (2.0 ** -53)
             u1, u2 = u[0::2].tolist(), u[1::2].tolist()
             if 0.0 in u1:
                 out[lo:lo + k] = [self.normal() for _ in range(k)]
@@ -144,3 +139,31 @@ def derive_seed(seed: int, *indices: int) -> int:
         g = SplitMix64(out ^ (idx & _MASK64))
         out = g.next_u64()
     return out
+
+
+def derived_uniforms(seed: int, count: int) -> list[float]:
+    """SplitMix64(derive_seed(seed, k)).random() for k in range(count), same bits.
+
+    derive_seed(seed, k) is the first word of a generator seeded with
+    derive_seed(seed) ^ k, and random() takes the first word of a generator
+    seeded with that: two rounds of the recurrence, run here as one
+    vectorised pass over all k. numpy's uint64 arithmetic wraps mod 2^64 and
+    (z >> 11) * 2**-53 is exact in float64, so every bit matches.
+    """
+    z = np.arange(count, dtype=np.uint64)
+    z ^= np.uint64(derive_seed(seed))
+    z += np.uint64(_GOLDEN)
+    _mix(z)
+    z += np.uint64(_GOLDEN)
+    return ((_mix(z) >> np.uint64(11)) * (2.0 ** -53)).tolist()
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The output function of next_u64 on an array of states, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+

@@ -234,14 +234,14 @@ def _train_config(value):
     return make_args
 
 
-def _replay(records, speeds):
+def _replay(records, speeds, *options):
     """replay-adg args for a trace of the given position records and a speeds
-    file holding the given JSON value."""
+    file holding the given JSON value, followed by the given options."""
     def make_args(tmp_path):
         (tmp_path / "trace.jsonl").write_text(
             "".join(json.dumps({"t": t, "positions": p}) + "\n" for t, p in enumerate(records)))
         (tmp_path / "speeds.json").write_text(json.dumps(speeds))
-        return ["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"]
+        return ["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json", *options]
     return make_args
 
 
@@ -329,6 +329,12 @@ def _max_steps(steps):
     (_replay([[[0, 0]], [[0, 1]]], ["x"]), "speeds.json: speed 0 ('x') is not a finite number"),
     (_replay([[[0, 0]], [[0, 1]]], {"a": 1}),
      "speeds.json: need a JSON array of speed multipliers, got dict"),
+    (_replay([[[0, 0]], [[0, 1]]], [1.0], "--jitter", "-5"),
+     "jitter_amplitude must be finite and at least -1, got -5.0"),
+    (_replay([[[0, 0]], [[0, 1]]], [1.0], "--jitter", "nan"),
+     "jitter_amplitude must be finite and at least -1, got nan"),
+    (_replay([[[0, 0]], [[0, 1]]], [1.0], "--jitter", "inf"),
+     "jitter_amplitude must be finite and at least -1, got inf"),
     (_scenario_file([1, 2]), "need a JSON object with map, starts and goals, got list"),
     (_scenario_file(map=5), "map: need map text or the path of a map file, got int"),
     (_scenario_file(starts=[[0]]), "starts[0]: [0] is not a [row, col] pair of integers"),
@@ -360,6 +366,7 @@ def _max_steps(steps):
         "resolve-fractional-intent", "resolve-intent-7", "resolve-short-intents",
         "resolve-svo-90", "resolve-negative-svo", "even-fov", "resolve-not-an-object",
         "replay-adg-not-pairs", "replay-adg-speed-not-a-number", "replay-adg-speeds-object",
+        "replay-adg-jitter-below-minus-1", "replay-adg-jitter-nan", "replay-adg-jitter-inf",
         "scenario-not-an-object", "scenario-map-not-a-string", "scenario-start-not-a-pair",
         "scenario-starts-not-a-list", "scenario-fractional-start", "scenario-seed-null",
         "resolve-map-not-a-string", "bench-zero-instances", "run-zero-max-steps",

@@ -1,3 +1,7 @@
+import heapq
+import math
+
+import numpy as np
 import pytest
 
 from svo_mapf import execution, harness, mapgen
@@ -209,3 +213,114 @@ def test_status_machine_forward_only():
     task.advance(DONE)
     with pytest.raises(AdgError):
         task.advance(ENQUEUED)
+
+
+def reference_simulation(graph, speed_profile, jitter_seed=0, jitter_amplitude=0.0, base_time=1.0):
+    """Reference simulator: a generator per task for its draw, an enqueue per
+    ready task, events in (time, push order) order."""
+    remaining = {t.task_id: len(t.dependencies) for t in graph.tasks}
+    dependents = [[] for _ in graph.tasks]
+    for t in graph.tasks:
+        for d in t.dependencies:
+            dependents[d].append(t.task_id)
+    log, queue, seq = [], [], 0
+
+    def enqueue(task, now):
+        nonlocal seq
+        log.append(execution.ExecEvent(now, task.task_id, task.robot_id, ENQUEUED))
+        if task.time == 0:
+            duration = 0.0
+        else:
+            u = SplitMix64(derive_seed(jitter_seed, task.task_id)).random()
+            duration = base_time * speed_profile[task.robot_id] * (1.0 + jitter_amplitude * u)
+        heapq.heappush(queue, (now + duration, seq, task.task_id))
+        seq += 1
+
+    for task in graph.tasks:
+        if remaining[task.task_id] == 0:
+            enqueue(task, 0.0)
+    while queue:
+        now, _, tid = heapq.heappop(queue)
+        log.append(execution.ExecEvent(now, tid, graph.tasks[tid].robot_id, DONE))
+        for nxt in dependents[tid]:
+            remaining[nxt] -= 1
+            if remaining[nxt] == 0:
+                enqueue(graph.tasks[nxt], now)
+    return log
+
+
+def single_robot_plan(seed, steps=30):
+    """A random walk of idles and 4-adjacent moves."""
+    rng = SplitMix64(seed)
+    path = [(0, 0)]
+    for _ in range(steps):
+        dr, dc = rng.choice([(0, 0), (0, 1), (1, 0), (0, -1), (-1, 0)])
+        path.append((path[-1][0] + dr, path[-1][1] + dc))
+    return [path]
+
+
+def event_keys(log):
+    return [(repr(e.t), e.task_id, e.robot_id, e.transition) for e in log]
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.3, 0.5, 2.0, -0.5])
+def test_simulation_matches_the_reference_event_by_event(amplitude):
+    plans = [random_plan(derive_seed(3000, k), agents=2 + k) for k in range(4)]
+    plans += [single_robot_plan(k) for k in range(3)]
+    rng = SplitMix64(17)
+    for paths in plans:
+        graph = execution.build_adg(paths)
+        # a base time other than 1 makes a reordered product round differently
+        for seed, base_time in ((0, 1.0), (3, 0.7), (2**64 - 1, 1.3)):
+            speeds = [4.0 * (1.0 - rng.random()) for _ in paths]   # in (0, 4]
+            want = reference_simulation(graph, speeds, seed, amplitude, base_time)
+            got = execution.simulate_execution(graph, speeds, seed, amplitude, base_time)
+            assert event_keys(got) == event_keys(want)
+            assert all(t.status == DONE for t in graph.tasks)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(speed_profile=[1.0, math.nan]), "speed_profile: speed multipliers must be finite and positive"),
+    (dict(speed_profile=[math.inf, 1.0]), "speed_profile: speed multipliers must be finite and positive"),
+    (dict(speed_profile=[-1.0, 1.0]), "speed_profile: speed multipliers must be finite and positive"),
+    (dict(base_time=0.0), "base_time must be finite and positive, got 0.0"),
+    (dict(base_time=math.nan), "base_time must be finite and positive, got nan"),
+    (dict(base_time=math.inf), "base_time must be finite and positive, got inf"),
+    (dict(jitter_amplitude=-1.5), "jitter_amplitude must be finite and at least -1, got -1.5"),
+    (dict(jitter_amplitude=math.nan), "jitter_amplitude must be finite and at least -1, got nan"),
+    (dict(jitter_amplitude=-math.inf), "jitter_amplitude must be finite and at least -1, got -inf"),
+    (dict(jitter_amplitude=math.inf), "jitter_amplitude must be finite and at least -1, got inf"),
+])
+def test_simulation_rejects_values_that_break_task_times(kwargs, message):
+    graph = execution.build_adg([[(0, 0), (0, 1)], [(2, 2), (2, 3)]])
+    args = dict(speed_profile=[1.0, 1.0]) | kwargs
+    with pytest.raises(ValueError, match=f"^{message}"):
+        execution.simulate_execution(graph, **args)
+    log = execution.simulate_execution(graph, [1.0, 1.0], jitter_amplitude=-1.0)
+    assert all(e.t >= 0.0 for e in log)
+
+
+def test_unfinished_tasks_raise_and_keep_their_statuses():
+    graph = execution.build_adg([[(0, 0), (0, 1), (0, 2)]])
+    graph.tasks[1].dependencies.add(2)    # tasks 1 and 2 now wait on each other
+    with pytest.raises(AdgError, match="unfinished tasks"):
+        execution.simulate_execution(graph, [1.0])
+    assert [t.status for t in graph.tasks] == [DONE, execution.STAGED, execution.STAGED]
+
+
+@pytest.mark.parametrize("plan, message", [
+    ([[(0, 0), [0, 1]]], r"robot 0 at t=1: cell \[0, 1\] is not a \(row, col\) pair of integers"),
+    ([[(0, 0)], [(1,), (1, 1)]], r"robot 1 at t=0: cell \(1,\) is not a \(row, col\) pair"),
+    ([[(0, 0.5)]], r"robot 0 at t=0: cell \(0, 0.5\) is not a \(row, col\) pair"),
+    ([[(2, 2)], [(True, 0)]], r"robot 1 at t=0: cell \(True, 0\) is not a \(row, col\) pair"),
+    ([[(0, 0), (0, 0), (0, 1, 2)]], r"robot 0 at t=2: cell \(0, 1, 2\) is not a \(row, col\) pair"),
+    ([[(0, 0), (0, 1)], [(0, 1), (0, "a")]], r"robot 1 at t=1: cell \(0, 'a'\) is not a"),
+])
+def test_validate_plan_rejects_cells_that_are_not_integer_pairs(plan, message):
+    with pytest.raises(PlanError, match=message):
+        execution.validate_plan(plan)
+
+
+def test_validate_plan_accepts_integer_types_beside_int():
+    plan = [[(np.int64(0), np.int64(0)), (np.int64(0), np.int64(1))], [(3, 3), (3, 3)]]
+    assert execution.validate_plan(plan) == [[(0, 0), (0, 1)], [(3, 3), (3, 3)]]

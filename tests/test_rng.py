@@ -100,3 +100,13 @@ def test_normals_cross_block_boundaries_like_normal_draws(monkeypatch):
     a, b = SplitMix64(seed), SplitMix64(seed)
     assert a.normals(11).tolist() == [b.normal() for _ in range(11)]
     assert a.state == b.state
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -1])
+def test_derived_uniforms_match_per_id_draws(seed):
+    # ids past 1024 (the normals block size); -1 and 2**64 - 1 are one seed
+    want = [SplitMix64(derive_seed(seed, k)).random() for k in range(1030)]
+    got = rng.derived_uniforms(seed, 1030)
+    assert all(type(u) is float for u in got)
+    assert [u.hex() for u in got] == [u.hex() for u in want]
+    assert rng.derived_uniforms(seed, 0) == []
