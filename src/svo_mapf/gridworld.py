@@ -110,9 +110,13 @@ class Gridworld:
     def step(self, joint_action: np.ndarray, collision_penalties: np.ndarray | None = None) -> StepOutcome:
         if self.terminated:
             raise RuntimeError("episode already terminated")
-        joint_action = np.asarray(joint_action, dtype=np.int64)
+        joint_action = np.asarray(joint_action)
         if joint_action.shape != (self.n,):
             raise ValueError("need one action per agent")
+        for i, a in enumerate(joint_action.tolist()):
+            if a not in ACTION_DELTAS:  # 1.0 is the action 1; 1.5, 7 and "1" are none
+                raise ValueError(f"agent {i}: action {a!r} is not an integer in 0-4")
+        joint_action = joint_action.astype(np.int64)
         new_positions = []
         for i in range(self.n):
             dr, dc = ACTION_DELTAS[int(joint_action[i])]
@@ -166,11 +170,12 @@ def _dominator_chain(grid, start, goal):
     or cannot reach it, for then nothing blocks it."""
     if start == goal:
         return _NO_CHAIN
-    dist, idom, _, _ = _goal_entry(grid, goal)
     w = grid.width
     cell = start[0] * w + start[1]
-    if dist[cell] == UNREACHABLE:
+    entry = _goal_entry(grid, goal, cell)
+    if entry.dist[cell] == UNREACHABLE:
         return _NO_CHAIN
+    idom = entry.idom
     g = goal[0] * w + goal[1]
     chain = {cell}
     while cell != g:
@@ -183,14 +188,16 @@ def _chokes(grid, b, start, goal, threshold) -> bool:
     """Does flat cell b, on start's dominator chain toward goal, choke start's
     route? It does when it is start, or a cut vertex between start and goal,
     or when a detour search that never enters b and prunes every cell whose
-    depth plus goal distance exceeds d0 + threshold cannot reach the goal."""
+    depth plus goal distance (a lower bound where the goal's search has not
+    labelled it yet) exceeds d0 + threshold cannot reach the goal."""
     w = grid.width
     s = start[0] * w + start[1]
     g = goal[0] * w + goal[1]
     if b == s or _separates(grid, b, s, g):
         return True
-    dist = _goal_entry(grid, goal)[0]
-    return _bfs(grid, s, target=g, removed=b, bound=dist[s] + threshold, h=dist)[g] == UNREACHABLE
+    entry = _goal_entry(grid, goal, s)
+    return _bfs(grid, s, target=g, removed=b, bound=entry.dist[s] + threshold, h=entry.dist,
+                floor=entry.floor())[g] == UNREACHABLE
 
 
 def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:

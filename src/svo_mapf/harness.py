@@ -63,8 +63,8 @@ def _occupancy_aware_greedy(env: Gridworld, agent: int) -> int:
     if pos == goal:
         return IDLE
     w = env.grid.width
-    dist, nbrs = _goal_entry(env.grid, goal)[0], _neighbour_table(env.grid)
     u = pos[0] * w + pos[1]
+    dist, nbrs = _goal_entry(env.grid, goal, u).dist, _neighbour_table(env.grid)
     parked = {r * w + c for j, (r, c) in enumerate(env.positions)
               if j != agent and (r, c) == env.goals[j]}
     v = _descend(nbrs, dist, u, parked)

@@ -3,13 +3,16 @@
 Shortest paths are realized as greedy descent over an exact BFS distance
 field with the fixed neighbor order Up, Down, Left, Right. For unit edge
 costs this returns the same lengths an open-list search would, but one BFS
-per goal is amortized across every timestep and agent that plans to it.
-Every search runs on one BFS kernel over the map's flat neighbour table (see
-mapgen); the goal's BFS also records each cell's immediate dominator, which
-blocking detection walks, and every step toward a cell (a path, a greedy
-step, the scripted policies' moves) is one descent helper over that table.
-Descent is deterministic, so the path from any cell on a planned path is
-that path's suffix: planned paths are indexed per goal and reused.
+per goal is amortized across every timestep and agent that plans to it, and
+it runs backward from the goal only until it reaches the cells asked about
+(Silver's Reverse Resumable A*, "Cooperative Pathfinding", 2005, at unit
+cost). Every search runs on one BFS kernel over the map's flat neighbour
+table (see mapgen); the goal's BFS also records each cell's immediate
+dominator, which blocking detection walks, and every step toward a cell (a
+path, a greedy step, the scripted policies' moves) is one descent helper
+over that table. Descent is deterministic, so the path from any cell on a
+planned path is that path's suffix: planned paths are indexed per goal and
+reused.
 """
 
 from __future__ import annotations
@@ -38,38 +41,43 @@ class NoPathError(RuntimeError):
     """Raised when a requested path does not exist."""
 
 
-def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,
-         bound: int = 0, h=None, idom=None) -> list[int]:
-    """The BFS kernel: step distances from flat cell `source`, UNREACHABLE
-    where the search never labelled a cell.
+def _resume(nbrs, dist, queue, head: int, target: int = -1, removed: int = -1, bound: int = 0,
+            h=None, floor: int = 0, idom=None) -> int:
+    """The BFS kernel: expand queue[head:] in FIFO order over the flat
+    neighbour table nbrs, labelling dist and queueing each cell it labels, and
+    return the head it paused at (len(queue) once the search has ended).
 
-    The search stops as soon as it labels `target` and never enters
-    `removed`. Given `h` (exact flat distances to some goal), it enters a cell
-    only if its depth plus its h is at most `bound`, so it keeps to the cells
-    of paths to that goal no longer than `bound`. Given `idom` (a flat list
-    with idom[source] == source), it fills in each cell's immediate dominator
-    toward the source: the nearest other cell that every shortest path from
-    the cell to the source passes. A cell's first labeller is its first
-    candidate; each further one-step-closer neighbour is folded in by the
-    two-finger intersection, by distance, of their dominator chains (Cooper,
-    Harvey & Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
+    Once it labels `target` at level d it finishes level d - 1 and pauses, so
+    a labelled cell's distance and dominator are final. It never enters
+    `removed`. Given `h` (flat distances to some goal; an unlabelled cell
+    reads as `floor`, a lower bound), it enters a cell only if its depth plus
+    its h is at most `bound`, so it keeps to the cells of paths to that goal
+    no longer than `bound`. Given `idom` (a flat list with idom[source] ==
+    source), it fills in each cell's immediate dominator toward the source:
+    the nearest other cell that every shortest path from the cell to the
+    source passes. A cell's first labeller is its first candidate; each
+    further one-step-closer neighbour is folded in by the two-finger
+    intersection, by distance, of their dominator chains (Cooper, Harvey &
+    Kennedy, "A Simple, Fast Dominance Algorithm", 2001).
     """
-    dist = [UNREACHABLE] * (grid.height * grid.width)
-    dist[source] = 0
-    nbrs = _neighbour_table(grid)
-    queue = [source]
-    for u in queue:
-        d = dist[u] + 1
+    stop = len(dist)  # above every level
+    while head < len(queue):
+        u = queue[head]
+        d = dist[u]
+        if d >= stop:
+            return head
+        head += 1
+        d += 1
         for v in nbrs[u]:
             dv = dist[v]
             if dv == UNREACHABLE:
-                if v == removed or (h is not None and d + h[v] > bound):
+                if v == removed or (h is not None and (h[v] if h[v] >= 0 else floor) > bound - d):
                     continue
                 dist[v] = d
                 if idom is not None:
                     idom[v] = u
                 if v == target:
-                    return dist
+                    stop = d
                 queue.append(v)
             elif dv == d and idom is not None:
                 a, b = idom[v], u
@@ -79,30 +87,58 @@ def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1,
                     if dist[b] > dist[a]:
                         b = idom[b]
                 idom[v] = a
+    return head
+
+
+def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1, bound: int = 0,
+         h=None, floor: int = 0, idom=None) -> list[int]:
+    """Step distances from flat cell `source` (UNREACHABLE where unlabelled)
+    by one run of the kernel `_resume`, which takes the same arguments."""
+    dist = [UNREACHABLE] * (grid.height * grid.width)
+    dist[source] = 0
+    _resume(_neighbour_table(grid), dist, [source], 0, target, removed, bound, h, floor, idom)
     return dist
 
 
-def _goal_entry(grid: GridMap, goal: tuple[int, int]) -> tuple[array, array, np.ndarray, dict]:
-    """Flat distances to the goal, immediate dominators toward it, a
-    read-only H x W view of the distances and the goal's path index: one BFS,
-    cached per goal on the map.
+class _GoalSearch:
+    """One goal's BFS toward it with immediate dominators, resumed only as far
+    as readers ask, and the goal's path index (`astar_path` fills it). Every
+    labelled cell is settled: its distance and dominator are final, and so is
+    every cell at a lower level; v, idom[v], ..., goal are exactly the cells
+    on every shortest v -> goal path. A completed search drops its frontier
+    (`queue` is None) and turns the `dist` and `idom` lists into array('i')
+    (UNREACHABLE on unreachable and obstacle cells), with `field` a read-only
+    H x W view of the distances."""
 
-    v, idom[v], idom[idom[v]], ..., goal are exactly the cells on every
-    shortest v -> goal path. Unreachable and obstacle cells hold UNREACHABLE
-    in both flat arrays. The path index starts empty; `astar_path` fills it.
-    """
+    __slots__ = ("dist", "idom", "queue", "head", "field", "paths")
+
+    def __init__(self, g: int, cells: int):
+        self.dist, self.idom = [UNREACHABLE] * cells, [UNREACHABLE] * cells
+        self.dist[g], self.idom[g] = 0, g
+        self.queue, self.head, self.field, self.paths = [g], 0, None, {}
+
+    def floor(self) -> int:
+        """A lower bound on every unlabelled cell's distance (none once ended)."""
+        return len(self.dist) if self.queue is None else self.dist[self.queue[self.head]] + 1
+
+
+def _goal_entry(grid: GridMap, goal: tuple[int, int], cell: int = -1) -> _GoalSearch:
+    """The goal's search, cached on the map: resumed until flat cell `cell`
+    is settled, or to its end when no cell is given (or the cell is
+    unreachable)."""
     entry = grid._goal_cache.get(goal)
-    if entry is not None:
-        return entry
-    if not grid.is_free(*goal):
-        raise ValueError(f"goal {goal} is not a free cell")
-    g = goal[0] * grid.width + goal[1]
-    idom = [UNREACHABLE] * (grid.height * grid.width)
-    idom[g] = g
-    dist = array("i", _bfs(grid, g, idom=idom))
-    field = np.frombuffer(dist, dtype=np.int32).reshape(grid.height, grid.width)
-    field.flags.writeable = False
-    entry = grid._goal_cache[goal] = (dist, array("i", idom), field, {})
+    if entry is None:
+        if not grid.is_free(*goal):
+            raise ValueError(f"goal {goal} is not a free cell")
+        entry = grid._goal_cache[goal] = _GoalSearch(goal[0] * grid.width + goal[1],
+                                                     grid.height * grid.width)
+    queue = entry.queue
+    if queue is not None and (cell < 0 or entry.dist[cell] == UNREACHABLE):
+        entry.head = _resume(_neighbour_table(grid), entry.dist, queue, entry.head, cell, idom=entry.idom)
+        if entry.head == len(queue):
+            entry.dist, entry.idom, entry.queue = array("i", entry.dist), array("i", entry.idom), None
+            entry.field = np.frombuffer(entry.dist, dtype=np.int32).reshape(grid.height, grid.width)
+            entry.field.flags.writeable = False
     return entry
 
 
@@ -110,10 +146,10 @@ def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
     """Exact BFS distances (in steps) from every free cell to the goal.
 
     Unreachable and obstacle cells hold UNREACHABLE. The field is a read-only
-    view of the goal's cached flat distances, the same object on every call
-    for the same map and goal.
+    view of the goal's completed flat distances, the same object on every
+    call for the same map and goal.
     """
-    return _goal_entry(grid, goal)[2]
+    return _goal_entry(grid, goal).field
 
 
 def _descend(nbrs, dist, u: int, skip=()) -> int:
@@ -199,8 +235,9 @@ def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> 
     """
     if not grid.is_free(*start):
         raise ValueError(f"start {start} is not a free cell")
-    dist, _, _, paths = _goal_entry(grid, goal)
     u = start[0] * grid.width + start[1]
+    entry = _goal_entry(grid, goal, u)
+    dist, paths = entry.dist, entry.paths
     if dist[u] == UNREACHABLE:
         raise NoPathError(f"no path from {start} to {goal}")
     if u not in paths:
@@ -217,8 +254,10 @@ def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> 
 
 def greedy_step(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int]) -> int:
     """First distance-decreasing action from pos; IDLE when on goal or stuck."""
+    if not grid.is_free(*pos):
+        raise ValueError(f"pos {pos} is not a free cell")
     if pos == goal:
         return IDLE
     w = grid.width
     u = pos[0] * w + pos[1]
-    return _action(u, _descend(_neighbour_table(grid), _goal_entry(grid, goal)[0], u), w)
+    return _action(u, _descend(_neighbour_table(grid), _goal_entry(grid, goal, u).dist, u), w)

@@ -179,7 +179,8 @@ def _shortest_paths(start, goal, to_goal):
 
 
 def dominator_chain(grid, start, goal):
-    dist, idom = pathing._goal_entry(grid, goal)[:2]
+    entry = pathing._goal_entry(grid, goal)
+    dist, idom = entry.dist, entry.idom
     w = grid.width
     cell = start[0] * w + start[1]
     chain = [cell]
@@ -197,7 +198,8 @@ def test_dominator_chain_is_the_set_of_cells_on_every_shortest_path(data):
     free = grid.free_cells()
     goal = data.draw(st.sampled_from(free))
     to_goal = _bfs_distances(grid, goal)
-    dist, idom = pathing._goal_entry(grid, goal)[:2]
+    entry = pathing._goal_entry(grid, goal)
+    dist, idom = entry.dist, entry.idom
     for start in free:
         flat = start[0] * grid.width + start[1]
         if start not in to_goal:
@@ -395,3 +397,46 @@ def test_detect_blocking_after_agents_are_moved_by_hand():
             assert len(env._verdicts) + len(env._verdicts_before) <= 2 * env.n * (env.n - 1)
         env.reset()
         assert env._verdicts == {} and env._verdicts_before == {} and env._chains_at is None
+
+
+def fresh(grid):
+    """A copy of the map with nothing cached on it yet."""
+    return mapgen.GridMap(grid.obstacles)
+
+
+@given(data=st.data())
+@FUZZ
+def test_blocking_on_goal_searches_nothing_has_completed(data):
+    # each verdict is reached on a fresh map first, so the goal's search is
+    # paused where the chain walk and the detour left it; the oracle then
+    # completes the search on a second copy of the map
+    shape = data.draw(maps())
+    free = shape.free_cells()
+    cell = st.sampled_from(free)
+    grid, oracle = fresh(shape), fresh(shape)
+    for _ in range(8):
+        start, goal, blocker = data.draw(cell), data.draw(cell), data.draw(cell)
+        t = data.draw(st.sampled_from(THRESHOLDS))
+        got = _blocks_agent(grid, blocker, start, goal, t)
+        assert got == reference_blocks_agent(oracle, blocker, start, goal, t), (blocker, start, goal, t)
+
+
+@pytest.mark.parametrize("family", ["room", "random"])
+def test_detect_blocking_on_goal_searches_nothing_has_completed(family):
+    partial = 0
+    for k, threshold in enumerate((10, 0, 3)):
+        seed = derive_seed(7070, k)
+        if family == "room":
+            scn = mapgen.gen_room(24, 24, 12, seed)
+        else:
+            scn = mapgen.gen_random(16, 16, 0.25, 10, seed)
+        grid, oracle = fresh(scn.grid), fresh(scn.grid)
+        env = Gridworld(mapgen.Scenario(grid, scn.starts, scn.goals, scn.seed),
+                        EnvConfig(block_threshold=threshold))
+        counts = [detect_blocking(env, i) for i in range(env.n)]
+        partial += sum(entry.queue is not None for entry in grid._goal_cache.values())
+        want = [sum(reference_blocks_agent(oracle, env.positions[i], env.positions[j], env.goals[j],
+                                           threshold) for j in range(env.n) if j != i)
+                for i in range(env.n)]
+        assert counts == want
+    assert partial > 0

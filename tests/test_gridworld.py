@@ -105,6 +105,20 @@ class TestStepContract:
         with pytest.raises(ConditionViolation):
             env.step(np.array([UP]))
 
+    @pytest.mark.parametrize("bad", [7, -1, 5, 1.5, float("nan"), "1"])
+    def test_invalid_action_is_named_and_moves_nobody(self, bad):
+        scn = corridor_scenario(starts=[(1, 0), (1, 3)], goals=[(1, 4), (1, 5)])
+        env = Gridworld(scn, EnvConfig(blocking_rewards=False))
+        with pytest.raises(ValueError, match=rf"^agent 1: action {bad!r} is not an integer in 0-4$"):
+            env.step(np.array([RIGHT, bad], dtype=object))
+        assert env.positions == [(1, 0), (1, 3)] and env.t == 0
+
+    def test_integral_float_actions_are_those_actions(self):
+        scn = corridor_scenario(starts=[(1, 0), (1, 3)], goals=[(1, 4), (1, 5)])
+        env = Gridworld(scn, EnvConfig(blocking_rewards=False))
+        env.step(np.array([float(RIGHT), float(IDLE)]))
+        assert env.positions == [(1, 1), (1, 3)]
+
     def test_terminated_env_rejects_step(self):
         scn = corridor_scenario(starts=[(1, 5)], goals=[(1, 5)])
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))

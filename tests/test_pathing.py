@@ -1,4 +1,6 @@
 import heapq
+import re
+from array import array
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svo_mapf import mapgen, pathing
-from svo_mapf.pathing import ACTION_DELTAS, STOP, UNREACHABLE, NoPathError
+from svo_mapf.gridworld import _dominator_chain
+from svo_mapf.pathing import ACTION_DELTAS, STOP, UNREACHABLE, NoPathError, _bfs
+from test_blocking import FUZZ, maps
 
 
 def dijkstra_oracle(grid, goal):
@@ -184,7 +188,137 @@ def test_path_index_holds_each_free_cell_at_most_once_per_goal():
         for start in free[::97]:
             path_or_none(grid, start, goal)
     assert set(grid._goal_cache) == set(scn.goals)
-    for goal, (_, _, _, paths) in grid._goal_cache.items():
+    for goal, entry in grid._goal_cache.items():
+        paths = entry.paths
         assert len(paths) <= len(free)
         segments = {id(seg): seg for seg in paths.values()}.values()
         assert sum(len(seg[0]) for seg in segments) == len(paths)
+
+
+def test_greedy_step_rejects_a_cell_that_is_not_free():
+    # (-1, 0) once wrapped to cell (1, 0) and moved RIGHT, the obstacle idled
+    # and (5, 5) raised IndexError
+    obst = np.zeros((2, 3), dtype=bool)
+    obst[0, 1] = True
+    grid = mapgen.GridMap(obst)
+    for pos in ((-1, 0), (0, 1), (5, 5), (0, -1), (2, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"pos {pos} is not a free cell")):
+            pathing.greedy_step(grid, pos, (0, 2))
+    assert pathing.greedy_step(grid, (1, 0), (0, 2)) == pathing.RIGHT
+
+
+def reference_goal_bfs(grid, goal):
+    """The goal's one-shot BFS with dominators as the library ran it before
+    goal searches were resumed, copied from its `_bfs` and `_goal_entry` (the
+    target, removed-cell and bound arguments dropped): flat distances and
+    immediate dominators as array('i')."""
+    g = goal[0] * grid.width + goal[1]
+    dist = [UNREACHABLE] * (grid.height * grid.width)
+    idom = [UNREACHABLE] * (grid.height * grid.width)
+    dist[g] = 0
+    idom[g] = g
+    nbrs = mapgen._neighbour_table(grid)
+    queue = [g]
+    for u in queue:
+        d = dist[u] + 1
+        for v in nbrs[u]:
+            dv = dist[v]
+            if dv == UNREACHABLE:
+                dist[v] = d
+                idom[v] = u
+                queue.append(v)
+            elif dv == d:
+                a, b = idom[v], u
+                while a != b:
+                    if dist[a] >= dist[b]:
+                        a = idom[a]
+                    if dist[b] > dist[a]:
+                        b = idom[b]
+                idom[v] = a
+    return array("i", dist), array("i", idom)
+
+
+def assert_search_agrees(entry, want_dist, want_idom):
+    """Every cell the search labelled holds its final distance and dominator,
+    and whole levels are labelled: every cell below the level it paused at."""
+    dist, idom = list(entry.dist), list(entry.idom)
+    labelled = [v for v, d in enumerate(dist) if d != UNREACHABLE]
+    assert [dist[v] for v in labelled] == [want_dist[v] for v in labelled]
+    assert [idom[v] for v in labelled] == [want_idom[v] for v in labelled]
+    if entry.queue is None:
+        assert len(labelled) == sum(d != UNREACHABLE for d in want_dist)
+    else:
+        level = dist[entry.queue[entry.head]]
+        assert sorted(labelled) == [v for v, d in enumerate(want_dist) if 0 <= d <= level]
+        assert entry.floor() == level + 1
+
+
+@given(data=st.data())
+@FUZZ
+def test_resumed_goal_searches_settle_what_one_search_would(data):
+    shape = data.draw(maps())
+    grid = mapgen.GridMap(shape.obstacles)  # nothing cached on it yet
+    free = grid.free_cells()
+    goal = data.draw(st.sampled_from(free))
+    w = grid.width
+    g = goal[0] * w + goal[1]
+    want_dist, want_idom = reference_goal_bfs(grid, goal)
+    one_shot_idom = [UNREACHABLE] * len(want_idom)
+    one_shot_idom[g] = g
+    assert _bfs(grid, g, idom=one_shot_idom) == list(want_dist) and one_shot_idom == list(want_idom)
+    cell = st.sampled_from(free)
+    # a cell to settle, None to complete, or (start, blocker) for a detour read
+    requests = data.draw(st.lists(st.one_of(cell, st.just(None), st.tuples(cell, cell)), max_size=12))
+    for request in requests:
+        if request is None:
+            entry = pathing._goal_entry(grid, goal)
+            assert entry.queue is None and entry.dist == want_dist and entry.idom == want_idom
+            assert entry.field is pathing.distance_field(grid, goal)
+        elif isinstance(request[0], tuple):
+            # the detour of gridworld._chokes on the paused search
+            s, b = (r * w + c for r, c in request)
+            entry = pathing._goal_entry(grid, goal, s)
+            if want_dist[s] != UNREACHABLE and s != b:
+                for threshold in (0, 2, 10):
+                    bound = want_dist[s] + threshold
+                    got = _bfs(grid, s, target=g, removed=b, bound=bound, h=entry.dist, floor=entry.floor())
+                    full = _bfs(grid, s, target=g, removed=b, bound=bound, h=want_dist)
+                    assert (got[g] == UNREACHABLE) == (full[g] == UNREACHABLE), (request, threshold)
+        else:
+            u = request[0] * w + request[1]
+            entry = pathing._goal_entry(grid, goal, u)
+            assert entry is grid._goal_cache[goal]
+            if want_dist[u] == UNREACHABLE:
+                # nothing settles it: the search ran to its end
+                assert entry.queue is None
+                with pytest.raises(NoPathError):
+                    pathing.astar_path(grid, request, goal)
+                assert _dominator_chain(grid, request, goal) == set()
+            else:
+                assert entry.dist[u] == want_dist[u]
+                frontier = entry.head, entry.queue and len(entry.queue)
+                assert pathing._goal_entry(grid, goal, u) is entry
+                assert (entry.head, entry.queue and len(entry.queue)) == frontier
+        assert_search_agrees(grid._goal_cache[goal], want_dist, want_idom)
+    pathing.distance_field(grid, goal)
+    assert_search_agrees(grid._goal_cache[goal], want_dist, want_idom)
+
+
+def test_goal_search_labels_no_level_past_a_settled_cell_and_drops_its_frontier():
+    scn = mapgen.gen_room(256, 256, 1, seed=3)
+    grid, goal = scn.grid, scn.goals[0]
+    want_dist, _ = reference_goal_bfs(grid, goal)
+    w = grid.width
+    levels = {}
+    for v, d in enumerate(want_dist):
+        levels.setdefault(d, v)
+    for k in (1, 5, 40, 41, 200):
+        entry = pathing._goal_entry(grid, goal, levels[k])
+        labelled = [d for d in entry.dist if d != UNREACHABLE]
+        assert max(labelled) == k
+        assert len(labelled) == sum(0 <= d <= k for d in want_dist)
+    entry = pathing._goal_entry(grid, goal)
+    assert entry.queue is None and entry.field is not None
+    for flat in (entry.dist, entry.idom):
+        assert isinstance(flat, array) and flat.itemsize == 4 and len(flat) == grid.height * w
+    assert entry.dist == want_dist
