@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
-from .mapgen import _is_cell, _is_int, _is_number, _map_from_ref, _require_keys
+from .mapgen import _is_cell, _is_int, _is_number, _map_from_ref, _parse_json, _require_keys
 from .resolver import resolve as resolver_resolve
 
 
@@ -107,7 +108,7 @@ def _check_snapshot(grid, state) -> None:
 
 def _cmd_resolve(args) -> int:
     with open(args.state) as f:
-        state = json.load(f)
+        state = _parse_json(f.read(), args.state)
     if not isinstance(state, dict):
         raise ValueError(f"{args.state}: need a JSON object with map, positions, intents "
                          f"and svos, got {type(state).__name__}")
@@ -130,7 +131,7 @@ def _cmd_resolve(args) -> int:
 def _cmd_train(args) -> int:
     if args.config:
         with open(args.config) as f:
-            cfg = learner.TrainConfig.from_json(f.read())
+            cfg = learner.TrainConfig.from_json(f.read(), args.config)
     else:
         cfg = learner.TrainConfig()
     if args.seed is not None:
@@ -185,11 +186,22 @@ def _cmd_bench(args) -> int:
 
 
 def _read_samples(path: str) -> np.ndarray:
+    """The samples of a file holding a JSON array or whitespace-separated
+    numbers; a ValueError names the file and the first entry that is not a
+    finite number."""
     with open(path) as f:
         text = f.read().strip()
-    if text.startswith("["):
-        return np.array(json.loads(text), dtype=np.float64)
-    return np.array([float(x) for x in text.split()], dtype=np.float64)
+    entries = _parse_json(text, path) if text.startswith("[") else text.split()
+    samples = []
+    for i, x in enumerate(entries):
+        try:
+            value = float(x)
+        except (TypeError, ValueError, OverflowError):
+            value = math.nan
+        if isinstance(x, bool) or not math.isfinite(value):
+            raise ValueError(f"{path}: sample {i} ({x!r}) is not a finite number")
+        samples.append(value)
+    return np.array(samples, dtype=np.float64)
 
 
 def _cmd_ttest(args) -> int:
@@ -219,7 +231,7 @@ def _cmd_replay_adg(args) -> int:
     paths = None
     with open(args.trace) as f:
         for lineno, line in enumerate(f, 1):
-            record = json.loads(line)
+            record = _parse_json(line.rstrip(), args.trace, lineno)
             positions = record.get("positions") if isinstance(record, dict) else None
             if positions is None:
                 continue
@@ -236,7 +248,7 @@ def _cmd_replay_adg(args) -> int:
                                      "[row, col] pair of integers")
                 path.append(tuple(pos))
     with open(args.speeds) as f:
-        speeds = json.load(f)
+        speeds = _parse_json(f.read(), args.speeds)
     if not isinstance(speeds, list):
         raise ValueError(f"{args.speeds}: need a JSON array of speed multipliers, "
                          f"got {type(speeds).__name__}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import social
 from .gridworld import EnvConfig, Gridworld, _obstacle_plane, obs_length, observe
 from .harness import episode_steps
-from .mapgen import _check_field_types, _is_int, sample_corridor
+from .mapgen import _check_field_types, _is_int, _parse_json, _require_keys, sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
 from .rng import SplitMix64, derive_seed
 
@@ -66,27 +66,26 @@ class SmpConfig:
             raise ValueError("clip_eps must be positive")
 
 
+def _param_shapes(obs_dim: int, hidden: int, svo_bins: int) -> dict:
+    """Each tensor's shape, in PARAM_KEYS order."""
+    return {"w_in": (obs_dim, hidden), "b_in": (hidden,),
+            "w_act": (hidden, N_ACTIONS), "b_act": (N_ACTIONS,),
+            "w_svo": (hidden, svo_bins), "b_svo": (svo_bins,),
+            "w_va": (hidden,), "b_va": (1,), "w_vs": (hidden,), "b_vs": (1,),
+            "w_blk": (hidden,), "b_blk": (1,)}
+
+
 def init_params(obs_dim: int, hidden: int, svo_bins: int, seed: int, scale: float = 0.1) -> dict:
-    """Small random parameters; biases start at zero."""
+    """Small random parameters, drawn weight by weight in PARAM_KEYS order;
+    biases start at zero."""
     rng = SplitMix64(seed)
-
-    def mat(rows, cols):
-        return rng.normals(rows * cols).reshape(rows, cols) * scale / math.sqrt(rows)
-
-    return {
-        "w_in": mat(obs_dim, hidden),
-        "b_in": np.zeros(hidden),
-        "w_act": mat(hidden, N_ACTIONS),
-        "b_act": np.zeros(N_ACTIONS),
-        "w_svo": mat(hidden, svo_bins),
-        "b_svo": np.zeros(svo_bins),
-        "w_va": mat(hidden, 1)[:, 0],
-        "b_va": np.zeros(1),
-        "w_vs": mat(hidden, 1)[:, 0],
-        "b_vs": np.zeros(1),
-        "w_blk": mat(hidden, 1)[:, 0],
-        "b_blk": np.zeros(1),
-    }
+    params = {}
+    for k, shape in _param_shapes(obs_dim, hidden, svo_bins).items():
+        if k.startswith("b_"):
+            params[k] = np.zeros(shape)
+        else:
+            params[k] = rng.normals(math.prod(shape)).reshape(shape) * scale / math.sqrt(shape[0])
+    return params
 
 
 def params_to_vector(params: dict) -> np.ndarray:
@@ -533,10 +532,11 @@ class TrainConfig:
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
-    def from_json(text: str) -> "TrainConfig":
+    def from_json(text: str, source: str = "config") -> "TrainConfig":
         """The recipe a JSON object describes; absent fields keep their
-        defaults. A ValueError names an unknown or mistyped field."""
-        obj = _config_fields(json.loads(text), TrainConfig, "config")
+        defaults. A ValueError names an unknown or mistyped field, or source
+        (the file) when text is not JSON."""
+        obj = _config_fields(_parse_json(text, source), TrainConfig, "config")
         smp = SmpConfig(**_config_fields(obj.pop("smp", {}), SmpConfig, "smp"))
         env = EnvConfig(**_config_fields(obj.pop("env", {}), EnvConfig, "env"))
         if isinstance(obj.get("corridor_lengths"), list):
@@ -571,12 +571,45 @@ def save_checkpoint(path: str, params: dict, cfg: TrainConfig) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
+    """The parameters and recipe save_checkpoint wrote. A ValueError names
+    the file and the key or tensor at fault: params must hold exactly
+    PARAM_KEYS, each finite and shaped as init_params shapes it for the
+    recipe."""
     with open(path) as f:
-        obj = json.load(f)
-    if obj.get("format") != 1:
-        raise ValueError(f"unsupported checkpoint format {obj.get('format')!r}")
-    cfg = TrainConfig.from_json(json.dumps(obj["config"]))
-    params = {k: np.array(v, dtype=np.float64) for k, v in obj["params"].items()}
+        obj = _parse_json(f.read(), path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: need a JSON object with format, config and params, "
+                         f"got {type(obj).__name__}")
+    _require_keys(obj, ("format", "config", "params"), path)
+    if obj["format"] != 1:
+        raise ValueError(f"{path}: unsupported checkpoint format {obj['format']!r}")
+    try:
+        cfg = TrainConfig.from_json(json.dumps(obj["config"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    tensors = obj["params"]
+    if not isinstance(tensors, dict):
+        raise ValueError(f"{path}: params: need a JSON object, got {type(tensors).__name__}")
+    unknown = sorted(set(tensors) - set(PARAM_KEYS))
+    if unknown:
+        raise ValueError(f"{path}: params: unknown tensor {unknown[0]!r}")
+    _require_keys(tensors, PARAM_KEYS, f"{path}: params")
+    shapes = _param_shapes(obs_length(cfg.env.fov, cfg.env.svo_bins), cfg.smp.hidden,
+                           cfg.env.svo_bins)
+    params = {}
+    for k, shape in shapes.items():
+        try:
+            tensor = np.array(tensors[k])
+        except ValueError:  # ragged nesting
+            tensor = None
+        if tensor is None or tensor.dtype.kind not in "iuf":
+            raise ValueError(f"{path}: params {k}: need an array of numbers")
+        if tensor.shape != shape:
+            raise ValueError(f"{path}: params {k}: shape {tensor.shape}, but the config's "
+                             f"network needs {shape}")
+        if not np.isfinite(tensor).all():
+            raise ValueError(f"{path}: params {k}: holds a value that is not finite")
+        params[k] = tensor.astype(np.float64, copy=False)
     return params, cfg
 
 

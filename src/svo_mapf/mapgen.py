@@ -292,7 +292,7 @@ def scenario_from_json(text: str, base_dir: str = ".", source: str = "scenario")
     """A validated scenario from its JSON text; a map path is read relative to
     base_dir. Malformed fields raise ValueError naming the field; a missing
     key or a value that is not an object names source (the file) as well."""
-    obj = json.loads(text)
+    obj = _parse_json(text, source)
     if not isinstance(obj, dict):
         raise ValueError(f"{source}: need a JSON object with map, starts and goals, "
                          f"got {type(obj).__name__}")
@@ -314,6 +314,16 @@ def _map_from_ref(ref, base_dir: str = ".") -> GridMap:
         return read_map(ref)
     with open(os.path.join(base_dir, ref)) as f:
         return read_map(f.read())
+
+
+def _parse_json(text: str, source: str, line: int = 1):
+    """The JSON value text holds. A syntax error raises ValueError naming
+    source (the file) and the file line, text starting on the given line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} line {line + exc.lineno - 1}: {exc.msg} "
+                         f"at column {exc.colno}") from None
 
 
 def _require_keys(obj: dict, keys, source: str) -> None:

@@ -11,8 +11,8 @@ table (see mapgen); the goal's BFS also records each cell's immediate
 dominator, which blocking detection walks, and every step toward a cell (a
 path, a greedy step, the scripted policies' moves) is one descent helper
 over that table. Descent is deterministic, so the path from any cell on a
-planned path is that path's suffix: planned paths are indexed per goal and
-reused.
+planned path is that path's suffix; the overlap's step-to-step reuse (see
+social.compute_overlap) relies on this and plans no path twice along it.
 """
 
 from __future__ import annotations
@@ -102,20 +102,20 @@ def _bfs(grid: GridMap, source: int, target: int = -1, removed: int = -1, bound:
 
 class _GoalSearch:
     """One goal's BFS toward it with immediate dominators, resumed only as far
-    as readers ask, and the goal's path index (`astar_path` fills it). Every
-    labelled cell is settled: its distance and dominator are final, and so is
-    every cell at a lower level; v, idom[v], ..., goal are exactly the cells
-    on every shortest v -> goal path. A completed search drops its frontier
-    (`queue` is None) and turns the `dist` and `idom` lists into array('i')
-    (UNREACHABLE on unreachable and obstacle cells), with `field` a read-only
-    H x W view of the distances."""
+    as readers ask. Every labelled cell is settled: its distance and
+    dominator are final, and so is every cell at a lower level; v, idom[v],
+    ..., goal are exactly the cells on every shortest v -> goal path. A
+    completed search drops its frontier (`queue` is None) and turns the
+    `dist` and `idom` lists into array('i') (UNREACHABLE on unreachable and
+    obstacle cells), with `field` a read-only H x W view of the distances.
+    It stores no paths: astar_path descends afresh on each call."""
 
-    __slots__ = ("dist", "idom", "queue", "head", "field", "paths")
+    __slots__ = ("dist", "idom", "queue", "head", "field")
 
     def __init__(self, g: int, cells: int):
         self.dist, self.idom = [UNREACHABLE] * cells, [UNREACHABLE] * cells
         self.dist[g], self.idom[g] = 0, g
-        self.queue, self.head, self.field, self.paths = [g], 0, None, {}
+        self.queue, self.head, self.field = [g], 0, None
 
     def floor(self) -> int:
         """A lower bound on every unlabelled cell's distance (none once ended)."""
@@ -194,61 +194,29 @@ class PathFlow:
         return len(self.vertices) - 1
 
 
-def _index_descent(grid: GridMap, dist, paths: dict, u: int, g: int) -> None:
-    """Descend from flat cell u (not yet in paths) until the goal g or a cell
-    paths already holds, and index the new cells as one segment.
-
-    A segment is (vertices, directions, join, head distance): its cells in
-    path order with the direction taken at each, the flat cell the path
-    continues from (-1 when the segment ends on the goal, whose direction is
-    STOP) and the first cell's distance, so a cell's offset in its segment is
-    the head distance minus its own. Every cell is in at most one segment.
-    """
-    nbrs = _neighbour_table(grid)
-    w = grid.width
-    head, cells, vertices, directions = dist[u], [], [], []
-    while u not in paths:
-        cells.append(u)
-        vertices.append(divmod(u, w))
-        if u == g:
-            directions.append(STOP)
-            u = -1
-            break
-        v = _descend(nbrs, dist, u)
-        if v < 0:  # unreachable by construction: every reachable cell has a descent neighbor
-            raise NoPathError(f"descent stalled at {divmod(u, w)}")
-        directions.append(_action(u, v, w))
-        u = v
-    segment = (vertices, directions, u, head)
-    for cell in cells:
-        paths[cell] = segment
-
-
 def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> PathFlow:
     """Deterministic shortest path from start to goal as a PathFlow.
 
     Greedy descent on the goal's distance field; at each vertex the first
     neighbor (Up, Down, Left, Right order) whose distance is exactly one less
-    is taken, so identical inputs always yield the identical path. Cells of
-    earlier paths to the goal are indexed, so the path is read from their
-    suffixes; the returned lists are always fresh.
+    is taken, so identical inputs always yield the identical path.
     """
     if not grid.is_free(*start):
         raise ValueError(f"start {start} is not a free cell")
     u = start[0] * grid.width + start[1]
-    entry = _goal_entry(grid, goal, u)
-    dist, paths = entry.dist, entry.paths
+    dist = _goal_entry(grid, goal, u).dist
     if dist[u] == UNREACHABLE:
         raise NoPathError(f"no path from {start} to {goal}")
-    if u not in paths:
-        _index_descent(grid, dist, paths, u, goal[0] * grid.width + goal[1])
-    vertices, directions = [], []
-    while u >= 0:
-        seg_vertices, seg_directions, join, head = paths[u]
-        k = head - dist[u]
-        vertices += seg_vertices[k:]
-        directions += seg_directions[k:]
-        u = join
+    nbrs, w = _neighbour_table(grid), grid.width
+    vertices, directions = [divmod(u, w)], []
+    while dist[u]:
+        v = _descend(nbrs, dist, u)
+        if v < 0:  # unreachable by construction: every reachable cell has a descent neighbor
+            raise NoPathError(f"descent stalled at {divmod(u, w)}")
+        directions.append(_action(u, v, w))
+        vertices.append(divmod(v, w))
+        u = v
+    directions.append(STOP)
     return PathFlow(vertices, directions)
 
 

@@ -80,10 +80,11 @@ def compute_overlap(
     the same, bit for bit. A flow is a function of (position, goal) alone and
     a pair's sum a function of its two flows, so an agent on the same cell
     keeps its flow and visit map, and a pair whose agents both stayed keeps
-    its sum. A pair without a hit also keeps its zero when each agent stayed
-    or stepped onto vertices[1] of its old flow: descent is deterministic (see
-    pathing), so the new flow is the old one's suffix and the shared cells
-    can only shrink.
+    its sum. Descent is deterministic (see pathing), so an agent that stepped
+    onto vertices[1] of its old flow takes that flow's suffix without
+    planning; only first-step and off-flow agents call astar_path. A pair
+    without a hit also keeps its zero when each agent stayed or stepped along
+    its flow, since the shared cells can only shrink.
     """
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must lie in (0, 1]")
@@ -97,16 +98,19 @@ def compute_overlap(
     was_unreachable = set(previous.unreachable) if previous is not None else ()
     for i, pos in enumerate(positions):
         if previous is not None:
-            old = previous.flows[i].vertices
-            if old[0] == pos:
+            old = previous.flows[i]
+            if old.vertices[0] == pos:
                 stayed[i] = along[i] = True
-                flows.append(previous.flows[i])
+                flows.append(old)
                 visits.append(previous.visits[i])
                 if i in was_unreachable:
                     unreachable.append(i)
                 continue
-            along[i] = len(old) > 1 and old[1] == pos
-        flow, ok = agent_flow(grid, pos, goals[i])
+            along[i] = len(old) > 1 and old.vertices[1] == pos
+        if along[i]:
+            flow, ok = PathFlow(old.vertices[1:], old.directions[1:]), True
+        else:
+            flow, ok = agent_flow(grid, pos, goals[i])
         flows.append(flow)
         visits.append({v: (t, d) for t, (v, d) in enumerate(zip(flow.vertices, flow.directions))})
         if not ok:

@@ -1,9 +1,11 @@
 import json
+import math
 import os
 
 import pytest
 
-from svo_mapf import cli
+from svo_mapf import cli, learner
+from svo_mapf.gridworld import obs_length
 
 
 def run_cli(args, capsys):
@@ -300,6 +302,59 @@ def _max_steps(steps):
     return make_args
 
 
+def _text_file(name, text, args):
+    """args for a command reading a file of the given name that holds text."""
+    def make_args(tmp_path):
+        (tmp_path / name).write_text(text)
+        return args
+    return make_args
+
+
+def _two_files(first, first_text, second, second_text, args):
+    """args for a command reading two files holding the given texts."""
+    def make_args(tmp_path):
+        (tmp_path / first).write_text(first_text)
+        (tmp_path / second).write_text(second_text)
+        return args
+    return make_args
+
+
+def _checkpoint(edit, command="run"):
+    """Args for run, bench or case-study with --policy trained:ck.json, for a
+    checkpoint of the default recipe's initial parameters with its JSON value
+    replaced by edit(value)."""
+    def make_args(tmp_path):
+        cfg = learner.TrainConfig()
+        params = learner.init_params(obs_length(cfg.env.fov, cfg.env.svo_bins), cfg.smp.hidden,
+                                     cfg.env.svo_bins, 0)
+        learner.save_checkpoint(str(tmp_path / "ck.json"), params, cfg)
+        value = edit(json.loads((tmp_path / "ck.json").read_text()))
+        (tmp_path / "ck.json").write_text(json.dumps(value))
+        policy = ["--policy", "trained:ck.json"]
+        if command == "bench":
+            return ["bench", "--family", "random", "--size", "8", "--instances", "1",
+                    "--out", "r.json", *policy]
+        if command == "case-study":
+            return ["case-study", "--episodes", "1", *policy]
+        cli.main(["gen-map", "--kind", "recess", "--seed", "1", "--out", "."])
+        return ["run", "--scenario", "recess-1.scen.json", *policy]
+    return make_args
+
+
+def _tensor(key, value):
+    """A checkpoint edit setting params[key] to value (None drops it)."""
+    def edit(ck):
+        params = {k: v for k, v in ck["params"].items() if k != key}
+        if value is not None:
+            params[key] = value
+        return {**ck, "params": params}
+    return edit
+
+
+def _fov(ck):
+    return {**ck, "config": {**ck["config"], "env": {**ck["config"]["env"], "fov": 7}}}
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_train_config({"env": {"block_threshold": -1}}), "block_threshold must be >= 0, got -1"),
     (_height_one_map, "line 2: height must be at least 2, got 1"),
@@ -360,6 +415,42 @@ def _max_steps(steps):
     (_scenario_file(drop=["map"]), "s.scen.json: missing key 'map'"),
     (_snapshot(drop=["positions"]), "state.json: missing key 'positions'"),
     (_snapshot(drop=["svos"]), "state.json: missing key 'svos'"),
+    (_checkpoint(lambda ck: {k: v for k, v in ck.items() if k != "config"}),
+     "ck.json: missing key 'config'"),
+    (_checkpoint(lambda ck: {**ck, "params": [1.0]}), "ck.json: params: need a JSON object, got list"),
+    (_checkpoint(lambda ck: [ck], "bench"),
+     "ck.json: need a JSON object with format, config and params, got list"),
+    (_checkpoint(_tensor("b_act", [[1.0]])),
+     "ck.json: params b_act: shape (1, 1), but the config's network needs (5,)"),
+    (_checkpoint(_fov, "case-study"),
+     "ck.json: params w_in: shape (259, 64), but the config's network needs (163, 64)"),
+    (_checkpoint(_tensor("b_svo", [0.0, math.nan, 0.0, 0.0, 0.0])),
+     "ck.json: params b_svo: holds a value that is not finite"),
+    (_checkpoint(_tensor("w_va", ["x"] * 64)), "ck.json: params w_va: need an array of numbers"),
+    (_checkpoint(_tensor("w_va", [[0.0], [0.0, 0.0]])), "ck.json: params w_va: need an array of numbers"),
+    (_checkpoint(_tensor("b_blk", None)), "ck.json: params: missing key 'b_blk'"),
+    (_checkpoint(_tensor("b_extra", [0.0])), "ck.json: params: unknown tensor 'b_extra'"),
+    (_checkpoint(lambda ck: {**ck, "format": 2}), "ck.json: unsupported checkpoint format 2"),
+    (_two_files("a.json", '[{"a": 1}, 2]', "b.json", "[1, 2]", ["ttest", "--a", "a.json", "--b", "b.json"]),
+     "a.json: sample 0 ({'a': 1}) is not a finite number"),
+    (_two_files("a.json", "[1, 2]", "b.json", "[0, NaN]", ["ttest", "--a", "a.json", "--b", "b.json"]),
+     "b.json: sample 1 (nan) is not a finite number"),
+    (_two_files("a.txt", "1 2\n-inf", "b.txt", "0 0 0", ["ttest", "--a", "a.txt", "--b", "b.txt"]),
+     "a.txt: sample 2 ('-inf') is not a finite number"),
+    (_text_file("s.scen.json", '{"map": "x", ', ["run", "--scenario", "s.scen.json"]),
+     "s.scen.json line 1: Expecting property name enclosed in double quotes at column 14"),
+    (_text_file("cfg.json", '{"env":\n  {"fov": }}', ["train", "--config", "cfg.json", "--out", "o"]),
+     "cfg.json line 2: Expecting value at column 11"),
+    (_text_file("state.json", "[1, 2", ["resolve", "--state", "state.json"]),
+     "state.json line 1: Expecting ',' delimiter at column 6"),
+    (_two_files("trace.jsonl", '{"positions": [[0, 0]]}\n{"positions": [[0, 1]]\n', "speeds.json", "[1.0]",
+                ["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"]),
+     "trace.jsonl line 2: Expecting ',' delimiter at column 23"),
+    (_two_files("trace.jsonl", '{"positions": [[0, 0]]}\n', "speeds.json", "[1.0,",
+                ["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"]),
+     "speeds.json line 1: Expecting value at column 6"),
+    (_text_file("ck.json", '{"format": 1', ["case-study", "--policy", "trained:ck.json"]),
+     "ck.json line 1: Expecting ',' delimiter at column 13"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
@@ -374,7 +465,14 @@ def _max_steps(steps):
         "train-blocking-not-a-bool", "train-gamma-a-string", "train-fractional-epochs",
         "train-steps-a-string", "train-corridor-lengths-not-a-pair", "train-unknown-field",
         "train-env-not-an-object", "train-config-not-an-object", "scenario-without-goals",
-        "scenario-without-map", "resolve-without-positions", "resolve-without-svos"])
+        "scenario-without-map", "resolve-without-positions", "resolve-without-svos",
+        "checkpoint-without-config", "checkpoint-params-a-list", "checkpoint-not-an-object",
+        "checkpoint-b-act-broadcasts", "checkpoint-fov-disagrees", "checkpoint-nan-tensor",
+        "checkpoint-string-tensor", "checkpoint-ragged-tensor", "checkpoint-missing-tensor",
+        "checkpoint-unknown-tensor", "checkpoint-format-2", "ttest-object-sample",
+        "ttest-nan-json-sample", "ttest-inf-whitespace-sample", "scenario-truncated",
+        "train-config-truncated", "resolve-state-truncated", "replay-adg-trace-truncated",
+        "replay-adg-speeds-truncated", "checkpoint-truncated"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)

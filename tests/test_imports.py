@@ -1,11 +1,14 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every private
+module-level name is used somewhere."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "svo_mapf"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "svo_mapf"
 
 ALLOWED = {
     ("*", "annotations"),  # from __future__ import annotations
@@ -37,3 +40,64 @@ def test_checker_sees_attribute_roots_and_nested_imports():
     source = ("import os\nimport numpy as np\nfrom a import b, c\n"
               "def f():\n    from d import e\n    return np.zeros(1), b\n")
     assert unused_imports(source) == ["c", "e", "os"]
+
+
+def private_definitions(tree) -> dict:
+    """The module-level _private names a module defines (dunders aside), each
+    with the statement that defines it."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defs.update((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+    return defs
+
+
+def references(tree) -> Counter:
+    """How often each name is read, read as an attribute, imported or given
+    as a string (monkeypatch.setattr takes attribute names)."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs[node.value] += 1
+    return refs
+
+
+def orphaned_privates(modules: dict, others: list) -> list[str]:
+    """module.name for each private module-level name of modules (name ->
+    source) that no source, modules' or others', reads outside the statement
+    defining it."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    total = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        total.update(references(tree))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name, node in private_definitions(tree).items()
+                  if total[name] == references(node)[name])
+
+
+def test_every_private_name_is_used():
+    modules = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for d in ("tests", "demos", "perfbench")
+              for p in sorted((ROOT / d).rglob("*.py"))]
+    assert orphaned_privates(modules, others) == []
+
+
+def test_private_checker_skips_self_references():
+    module = ("_LIMIT = 3\n_TABLE = {1: _LIMIT}\n"
+              "def _walk(n):\n    return _walk(n - 1) if n else 0\n"
+              "def _used():\n    return _TABLE\n"
+              "class _Node:\n    pass\n")
+    assert orphaned_privates({"m": module}, ["from m import _used\n"]) == ["m._Node", "m._walk"]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from svo_mapf import harness, mapgen, social
+from svo_mapf import harness, mapgen, pathing, social
 from svo_mapf.gridworld import EnvConfig, Gridworld
 from svo_mapf.rng import SplitMix64, derive_seed
 
@@ -320,6 +320,36 @@ def test_overlap_reuse_fuzz_with_hand_moves():
                     moved.append(free[rng.randrange(len(free))])
             positions, previous = moved, res
     assert unreachable > 0
+
+
+def test_only_first_step_and_off_flow_agents_are_planned(monkeypatch):
+    # an agent that stayed keeps its flow and one on its flow's next cell
+    # takes the flow's suffix, so neither calls astar_path
+    planned = []
+
+    def counting(grid, start, goal):
+        planned.append(start)
+        return pathing.astar_path(grid, start, goal)
+
+    monkeypatch.setattr(social, "astar_path", counting)
+    along = off_flow = 0
+    for k in range(6):
+        scn = mapgen.gen_room(24, 24, 12, derive_seed(5151, k))
+        env = Gridworld(scn, EnvConfig(max_episode_length=32, blocking_rewards=False))
+        previous = None
+        for step in harness.episode_steps(env, harness.make_policy("hetero", env.config)):
+            starts = [f.vertices[0] for f in step.overlap.flows]
+            if previous is None:
+                want = starts
+            else:
+                old = [f.vertices for f in previous.flows]
+                want = [pos for pos, o in zip(starts, old) if pos not in o[:2]]
+                along += sum(pos == o[1] for pos, o in zip(starts, old) if len(o) > 1)
+                off_flow += len(want)
+            assert planned == want
+            planned.clear()
+            previous = step.overlap
+    assert along > 0 and off_flow > 0
 
 
 def test_an_underflowed_hit_is_still_a_hit():
