@@ -397,12 +397,16 @@ def paired_t_test(samples_a, samples_b) -> tuple[float, float]:
     """Classical paired t statistic and two-sided p-value.
 
     p = I_{df/(df+t^2)}(df/2, 1/2) via the regularized incomplete beta with
-    df = n - 1.
+    df = n - 1. A ValueError names the first pair holding NaN or an infinity.
     """
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("need two equal-length 1-D sample arrays")
+    bad = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"pair {i} ({a[i]}, {b[i]}) is not a pair of finite numbers")
     n = len(a)
     if n < 2:
         raise ValueError("need at least two paired samples")

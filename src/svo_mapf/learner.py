@@ -574,7 +574,7 @@ def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
     """The parameters and recipe save_checkpoint wrote. A ValueError names
     the file and the key or tensor at fault: params must hold exactly
     PARAM_KEYS, each finite and shaped as init_params shapes it for the
-    recipe."""
+    recipe, and config_hash must be the recipe's config_hash."""
     with open(path) as f:
         obj = _parse_json(f.read(), path)
     if not isinstance(obj, dict):
@@ -610,6 +610,9 @@ def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
         if not np.isfinite(tensor).all():
             raise ValueError(f"{path}: params {k}: holds a value that is not finite")
         params[k] = tensor.astype(np.float64, copy=False)
+    if obj.get("config_hash") != config_hash(cfg):
+        raise ValueError(f"{path}: config_hash {obj.get('config_hash')!r} does not match the "
+                         f"config's hash {config_hash(cfg)!r}")
     return params, cfg
 
 

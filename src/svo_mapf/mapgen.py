@@ -44,9 +44,9 @@ class GridMap:
     Moves off the edge are invalid (no wall ring is stored). Instances are
     treated as immutable after construction; the map's graph (the neighbour
     table and one depth-first search giving cut vertices and components, see
-    below), each goal's distances, dominators and planned paths (see pathing)
-    and the padded obstacle planes that observations slice (see gridworld) are
-    cached on the instance.
+    below), each goal's resumable search with its distances and dominators
+    (see pathing) and the padded obstacle planes that observations slice (see
+    gridworld) are cached on the instance.
     """
 
     def __init__(self, obstacles: np.ndarray):
@@ -419,10 +419,7 @@ _MIN_ROOM_SIDE = 3
 
 def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
     obstacles = np.zeros((height, width), dtype=bool)
-    doors: set[tuple[int, int]] = set()
-
-    def door_adjacent(cells) -> bool:
-        return any(n in doors for r, c in cells for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
+    doors: list[tuple[int, int]] = []
 
     def split(r0: int, c0: int, h: int, w: int, depth: int) -> None:
         can_h = h >= 2 * _MIN_ROOM_SIDE + 1
@@ -435,30 +432,32 @@ def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
             horizontal = rng.random() < (0.8 if h > w else 0.2) if h != w else rng.random() < 0.5
         else:
             horizontal = can_h
-        if horizontal:
-            lines = [R for R in range(r0 + _MIN_ROOM_SIDE, r0 + h - _MIN_ROOM_SIDE)
-                     if not door_adjacent((R, c) for c in range(c0, c0 + w))]
-            if not lines:
-                return
-            R = rng.choice(lines)
-            door = (R, c0 + rng.randrange(w))
-            obstacles[R, c0:c0 + w] = True
-            obstacles[door] = False
-            doors.add(door)
-            split(r0, c0, R - r0, w, depth + 1)
-            split(R + 1, c0, r0 + h - R - 1, w, depth + 1)
-        else:
-            lines = [C for C in range(c0 + _MIN_ROOM_SIDE, c0 + w - _MIN_ROOM_SIDE)
-                     if not door_adjacent((r, C) for r in range(r0, r0 + h))]
-            if not lines:
-                return
-            C = rng.choice(lines)
-            door = (r0 + rng.randrange(h), C)
-            obstacles[r0:r0 + h, C] = True
-            obstacles[door] = False
-            doors.add(door)
-            split(r0, c0, h, C - c0, depth + 1)
-            split(r0, C + 1, h, c0 + w - C - 1, depth + 1)
+        # Walls are rows of the grid (or of its transpose, if vertical) over columns a0 to a0 + n - 1.
+        grid, l0, span, a0, n = (obstacles, r0, h, c0, w) if horizontal else (obstacles.T, c0, w, r0, h)
+        # No wall cell may touch a door. A door touches the walls on its own
+        # line and the two beside it when it lies within the span (n >= 3, so
+        # a wall cell flanks it on its own line), and on its own line alone
+        # when it lies one cell past either end.
+        banned = set()
+        for door in doors:
+            line, along = door if horizontal else door[::-1]
+            if a0 <= along < a0 + n:
+                banned.update((line - 1, line, line + 1))
+            elif along in (a0 - 1, a0 + n):
+                banned.add(line)
+        lines = [L for L in range(l0 + _MIN_ROOM_SIDE, l0 + span - _MIN_ROOM_SIDE) if L not in banned]
+        if not lines:
+            return
+        L = rng.choice(lines)
+        door = (L, a0 + rng.randrange(n))
+        grid[L, a0:a0 + n] = True
+        grid[door] = False
+        doors.append(door if horizontal else door[::-1])
+        for start, size in ((l0, L - l0), (L + 1, l0 + span - L - 1)):
+            if horizontal:
+                split(start, c0, size, w, depth + 1)
+            else:
+                split(r0, start, h, size, depth + 1)
 
     split(0, 0, height, width, 0)
     return obstacles

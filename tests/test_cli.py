@@ -431,6 +431,10 @@ def _fov(ck):
     (_checkpoint(_tensor("b_blk", None)), "ck.json: params: missing key 'b_blk'"),
     (_checkpoint(_tensor("b_extra", [0.0])), "ck.json: params: unknown tensor 'b_extra'"),
     (_checkpoint(lambda ck: {**ck, "format": 2}), "ck.json: unsupported checkpoint format 2"),
+    (_checkpoint(lambda ck: {**ck, "config": {**ck["config"], "seed": 99}}),
+     "ck.json: config_hash '%s' does not match the config's hash '%s'"
+     % (learner.config_hash(learner.TrainConfig()),
+        learner.config_hash(learner.TrainConfig(seed=99)))),
     (_two_files("a.json", '[{"a": 1}, 2]', "b.json", "[1, 2]", ["ttest", "--a", "a.json", "--b", "b.json"]),
      "a.json: sample 0 ({'a': 1}) is not a finite number"),
     (_two_files("a.json", "[1, 2]", "b.json", "[0, NaN]", ["ttest", "--a", "a.json", "--b", "b.json"]),
@@ -469,7 +473,8 @@ def _fov(ck):
         "checkpoint-without-config", "checkpoint-params-a-list", "checkpoint-not-an-object",
         "checkpoint-b-act-broadcasts", "checkpoint-fov-disagrees", "checkpoint-nan-tensor",
         "checkpoint-string-tensor", "checkpoint-ragged-tensor", "checkpoint-missing-tensor",
-        "checkpoint-unknown-tensor", "checkpoint-format-2", "ttest-object-sample",
+        "checkpoint-unknown-tensor", "checkpoint-format-2", "checkpoint-seed-edited",
+        "ttest-object-sample",
         "ttest-nan-json-sample", "ttest-inf-whitespace-sample", "scenario-truncated",
         "train-config-truncated", "resolve-state-truncated", "replay-adg-trace-truncated",
         "replay-adg-speeds-truncated", "checkpoint-truncated"])

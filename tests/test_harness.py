@@ -44,6 +44,15 @@ class TestPairedTTest:
             assert t == pytest.approx(oracle.statistic, abs=1e-9)
             assert p == pytest.approx(oracle.pvalue, abs=1e-6)
 
+    def test_non_finite_pair_is_named(self):
+        # NaN or an infinity used to reach the incomplete beta, which raised
+        # a RuntimeError about its continued fraction
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^pair 1 \(\S+, 0.0\) is not a pair of finite numbers$"):
+                harness.paired_t_test([1.0, bad, 3.0, bad], [0.0, 0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match=r"^pair 2 \(3.0, inf\) is not"):
+            harness.paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, math.inf])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             harness.paired_t_test([1.0], [1.0])

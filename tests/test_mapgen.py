@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from svo_mapf import mapgen
 from svo_mapf.mapgen import MapGenError, MapParseError
+from svo_mapf.rng import SplitMix64
 
 
 def bfs_reachable(grid, start):
@@ -21,6 +23,57 @@ def bfs_reachable(grid, start):
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
+
+
+def bsp_obstacles_cell_scan(height, width, rng):
+    """Reference for mapgen._bsp_obstacles: the same BSP draws, with each
+    candidate wall line tested cell by cell for a door among its cells' four
+    neighbours."""
+    obstacles = np.zeros((height, width), dtype=bool)
+    doors = set()
+
+    def door_adjacent(cells):
+        return any(n in doors for r, c in cells for n in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)))
+
+    def split(r0, c0, h, w, depth):
+        side = mapgen._MIN_ROOM_SIDE
+        can_h = h >= 2 * side + 1
+        can_v = w >= 2 * side + 1
+        if not (can_h or can_v):
+            return
+        if depth > 0 and h * w <= mapgen._BSP_STOP_AREA and rng.random() < mapgen._BSP_STOP_PROB:
+            return
+        if can_h and can_v:
+            horizontal = rng.random() < (0.8 if h > w else 0.2) if h != w else rng.random() < 0.5
+        else:
+            horizontal = can_h
+        if horizontal:
+            lines = [R for R in range(r0 + side, r0 + h - side)
+                     if not door_adjacent((R, c) for c in range(c0, c0 + w))]
+            if not lines:
+                return
+            R = rng.choice(lines)
+            door = (R, c0 + rng.randrange(w))
+            obstacles[R, c0:c0 + w] = True
+            obstacles[door] = False
+            doors.add(door)
+            split(r0, c0, R - r0, w, depth + 1)
+            split(R + 1, c0, r0 + h - R - 1, w, depth + 1)
+        else:
+            lines = [C for C in range(c0 + side, c0 + w - side)
+                     if not door_adjacent((r, C) for r in range(r0, r0 + h))]
+            if not lines:
+                return
+            C = rng.choice(lines)
+            door = (r0 + rng.randrange(h), C)
+            obstacles[r0:r0 + h, C] = True
+            obstacles[door] = False
+            doors.add(door)
+            split(r0, c0, h, C - c0, depth + 1)
+            split(r0, C + 1, h, c0 + w - C - 1, depth + 1)
+
+    split(0, 0, height, width, 0)
+    return obstacles
 
 
 def joint_state_solvable(scenario):
@@ -119,6 +172,27 @@ class TestRoom:
     def test_size_precondition(self):
         with pytest.raises(ValueError):
             mapgen.gen_room(7, 8, 1, seed=0)
+
+    @pytest.mark.parametrize("height, width, seeds", [
+        (8, 8, 200), (9, 13, 200), (13, 9, 200), (16, 40, 150), (32, 32, 120), (64, 64, 100)])
+    def test_wall_lines_match_cell_scan(self, height, width, seeds):
+        for seed in range(seeds):
+            rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+            obstacles = mapgen._bsp_obstacles(height, width, rng)
+            assert np.array_equal(obstacles, bsp_obstacles_cell_scan(height, width, oracle_rng)), seed
+            assert rng.next_u64() == oracle_rng.next_u64(), seed
+
+    @pytest.mark.parametrize("width, height, n_agents, seed, digest", [
+        (8, 8, 2, 0, "5531f71e3ae00b6f60d22f4458bdfbf21d2d8aee3abf89c0b226df9f3fef82ec"),
+        (16, 40, 10, 3, "5c27598d22c629fe93c78c58e482b90ab7dbf410397abf9cff444f126c78762e"),
+        (32, 32, 16, 0, "89ad8850bb8408665d81703340e01eac48ac17572fc43f1f02b18758b4fed749"),
+        (32, 32, 16, 7, "5d2ad68269325d069995b03ed3343c7fefba1d05f60c875f5c5e3bf612a8e91c"),
+        (64, 64, 64, 1, "a6d1912777fbb2e02d6afec6249d9e80fbcdcd2616823a3b97d160f05da26332"),
+    ])
+    def test_pinned_rooms(self, width, height, n_agents, seed, digest):
+        scn = mapgen.gen_room(width, height, n_agents, seed)
+        data = scn.grid.obstacles.tobytes() + repr((scn.starts, scn.goals)).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestMaze:
