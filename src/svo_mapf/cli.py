@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,7 +17,8 @@ import numpy as np
 
 from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
-from .mapgen import _is_cell, _is_int, _is_number, _map_from_ref, _parse_json, _require_keys
+from .inputs import finite_numbers, is_cell, is_int, is_number, parse_json, read_object
+from .mapgen import _map_from_ref
 from .resolver import resolve as resolver_resolve
 
 
@@ -27,7 +27,10 @@ def _cmd_gen_map(args) -> int:
         kind = "recess" if args.kind == "recess" else "i_shape"
         scenario = mapgen.gen_corridor(kind, args.corridor_len, args.seed)
     else:
-        w, h = (int(x) for x in args.size.lower().split("x"))
+        try:
+            w, h = (int(x) for x in args.size.lower().split("x"))
+        except ValueError:
+            raise ValueError(f"--size: need WxH, two integers, got {args.size!r}") from None
         if args.kind == "random":
             scenario = mapgen.gen_random(w, h, args.density, args.agents, args.seed)
         elif args.kind == "room":
@@ -92,27 +95,24 @@ def _check_snapshot(grid, state) -> None:
             raise ValueError(f"{name}: need one entry per agent ({len(positions)})")
     seen = {}
     for i, p in enumerate(positions):
-        if not (_is_cell(p) and grid.is_free(*p)):
+        if not (is_cell(p) and grid.is_free(*p)):
             raise ValueError(f"positions[{i}]: {p} is not a free cell of the "
                              f"{grid.height}x{grid.width} map")
         if tuple(p) in seen:
             raise ValueError(f"positions[{i}]: agents {seen[tuple(p)]} and {i} share {p}")
         seen[tuple(p)] = i
     for i, a in enumerate(intents):
-        if not (_is_int(a) and 0 <= a <= 4):
+        if not (is_int(a) and 0 <= a <= 4):
             raise ValueError(f"intents[{i}]: {a} is not an action 0-4")
     for i, z in enumerate(svos):
-        if not (_is_number(z) and 0 <= z <= 45):
+        if not (is_number(z) and 0 <= z <= 45):
             raise ValueError(f"svos[{i}]: {z} is not an angle in [0, 45] degrees")
 
 
 def _cmd_resolve(args) -> int:
     with open(args.state) as f:
-        state = _parse_json(f.read(), args.state)
-    if not isinstance(state, dict):
-        raise ValueError(f"{args.state}: need a JSON object with map, positions, intents "
-                         f"and svos, got {type(state).__name__}")
-    _require_keys(state, ("map", "positions", "intents", "svos"), args.state)
+        state = read_object(parse_json(f.read(), args.state), args.state,
+                            ("map", "positions", "intents", "svos"))
     grid = _map_from_ref(state["map"])
     _check_snapshot(grid, state)
     positions = [tuple(p) for p in state["positions"]]
@@ -191,16 +191,10 @@ def _read_samples(path: str) -> np.ndarray:
     finite number."""
     with open(path) as f:
         text = f.read().strip()
-    entries = _parse_json(text, path) if text.startswith("[") else text.split()
-    samples = []
-    for i, x in enumerate(entries):
-        try:
-            value = float(x)
-        except (TypeError, ValueError, OverflowError):
-            value = math.nan
-        if isinstance(x, bool) or not math.isfinite(value):
-            raise ValueError(f"{path}: sample {i} ({x!r}) is not a finite number")
-        samples.append(value)
+    if text.startswith("["):
+        samples = finite_numbers(parse_json(text, path), path, "sample")
+    else:
+        samples = finite_numbers(text.split(), path, "sample", parse=float)
     return np.array(samples, dtype=np.float64)
 
 
@@ -231,7 +225,7 @@ def _cmd_replay_adg(args) -> int:
     paths = None
     with open(args.trace) as f:
         for lineno, line in enumerate(f, 1):
-            record = _parse_json(line.rstrip(), args.trace, lineno)
+            record = parse_json(line.rstrip(), args.trace, lineno)
             positions = record.get("positions") if isinstance(record, dict) else None
             if positions is None:
                 continue
@@ -243,18 +237,16 @@ def _cmd_replay_adg(args) -> int:
                 raise ValueError(f"{args.trace} line {lineno}: {len(positions)} positions, "
                                  f"but the t = 0 record has {len(paths)}")
             for path, pos in zip(paths, positions):
-                if not _is_cell(pos):
+                if not is_cell(pos):
                     raise ValueError(f"{args.trace} line {lineno}: position {pos!r} is not a "
                                      "[row, col] pair of integers")
                 path.append(tuple(pos))
     with open(args.speeds) as f:
-        speeds = _parse_json(f.read(), args.speeds)
+        speeds = parse_json(f.read(), args.speeds)
     if not isinstance(speeds, list):
         raise ValueError(f"{args.speeds}: need a JSON array of speed multipliers, "
                          f"got {type(speeds).__name__}")
-    for i, m in enumerate(speeds):
-        if not _is_number(m):
-            raise ValueError(f"{args.speeds}: speed {i} ({m!r}) is not a finite number")
+    speeds = finite_numbers(speeds, args.speeds, "speed")
     graph = execution.build_adg(paths or [])
     log = execution.simulate_execution(graph, speeds, jitter_seed=args.seed,
                                        jitter_amplitude=args.jitter)

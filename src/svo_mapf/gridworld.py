@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapgen import Scenario, _check_field_types, _is_int, _separates
+from .inputs import check_fields, is_int
+from .mapgen import Scenario, _separates
 from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
@@ -45,16 +46,24 @@ class EnvConfig:
 
     def __post_init__(self):
         # The cap is checked after each step, so a cap below 1 would still run one.
-        if not (_is_int(self.max_episode_length) and self.max_episode_length >= 1):
+        if not (is_int(self.max_episode_length) and self.max_episode_length >= 1):
             raise ValueError(f"max_episode_length must be a positive integer, got {self.max_episode_length!r}")
         # The field of view is centred on the agent, so it needs a middle cell.
-        if not (_is_int(self.fov) and self.fov > 0 and self.fov % 2 == 1):
+        if not (is_int(self.fov) and self.fov > 0 and self.fov % 2 == 1):
             raise ValueError(f"fov must be a positive odd integer, got {self.fov!r}")
-        _check_field_types(self)
+        check_fields(self)
         # A negative threshold would count a cell on only some shortest paths
         # as blocking: no detour is shorter than the shortest path.
         if self.block_threshold < 0:
             raise ValueError(f"block_threshold must be >= 0, got {self.block_threshold}")
+        # social.svo_bin_angles spreads the bins over [0, 45] degrees: two at least.
+        if self.svo_bins < 2:
+            raise ValueError(f"svo_bins must be >= 2, got {self.svo_bins}")
+        if not 0 < self.overlap_decay <= 1:
+            raise ValueError(f"overlap_decay must lie in (0, 1], got {self.overlap_decay}")
+        for name in ("overlap_cap", "svo_importance"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -16,14 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, _obstacle_plane, obs_length, observe
 from .harness import episode_steps
-from .mapgen import _check_field_types, _is_int, _parse_json, _require_keys, sample_corridor
+from .inputs import check_fields, parse_json, read_dataclass, read_object
+from .mapgen import sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
 from .rng import SplitMix64, derive_seed
 
@@ -59,11 +60,14 @@ class SmpConfig:
     normalize_advantages: bool = True
 
     def __post_init__(self):
-        _check_field_types(self)
+        check_fields(self)
         if not (0.0 < self.gamma <= 1.0 and 0.0 <= self.lam <= 1.0):
             raise ValueError("gamma in (0,1], lam in [0,1]")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be positive")
+        for name in ("epochs", "minibatch", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _param_shapes(obs_dim: int, hidden: int, svo_bins: int) -> dict:
@@ -521,37 +525,25 @@ class TrainConfig:
     param_scale: float = 0.1
 
     def __post_init__(self):
-        _check_field_types(self)
-        lengths = self.corridor_lengths
-        if not (isinstance(lengths, tuple) and len(lengths) == 2 and all(map(_is_int, lengths))):
-            raise ValueError(f"corridor_lengths: {lengths!r} is not a pair of integers")
+        check_fields(self)
+        lo, hi = self.corridor_lengths
+        # gen_corridor needs corridor_len >= 3
+        if not 3 <= lo <= hi:
+            raise ValueError(f"corridor_lengths must satisfy 3 <= lo <= hi, got {self.corridor_lengths}")
+        if not 0 <= self.p_recess <= 1:
+            raise ValueError(f"p_recess must lie in [0, 1], got {self.p_recess}")
+        if self.rollout_steps < 1:
+            raise ValueError(f"rollout_steps must be >= 1, got {self.rollout_steps}")
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        obj["corridor_lengths"] = list(self.corridor_lengths)
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_json(text: str, source: str = "config") -> "TrainConfig":
         """The recipe a JSON object describes; absent fields keep their
         defaults. A ValueError names an unknown or mistyped field, or source
         (the file) when text is not JSON."""
-        obj = _config_fields(_parse_json(text, source), TrainConfig, "config")
-        smp = SmpConfig(**_config_fields(obj.pop("smp", {}), SmpConfig, "smp"))
-        env = EnvConfig(**_config_fields(obj.pop("env", {}), EnvConfig, "env"))
-        if isinstance(obj.get("corridor_lengths"), list):
-            obj["corridor_lengths"] = tuple(obj["corridor_lengths"])
-        return TrainConfig(smp=smp, env=env, **obj)
-
-
-def _config_fields(obj, cls, name: str) -> dict:
-    """obj, checked to be a JSON object holding only fields of cls."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{name}: need a JSON object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"{name}: unknown field {unknown[0]!r}")
-    return obj
+        return read_dataclass(parse_json(text, source), TrainConfig, "config")
 
 
 def config_hash(cfg: TrainConfig) -> str:
@@ -561,7 +553,7 @@ def config_hash(cfg: TrainConfig) -> str:
 def save_checkpoint(path: str, params: dict, cfg: TrainConfig) -> None:
     obj = {
         "format": 1,
-        "config": json.loads(cfg.to_json()),
+        "config": asdict(cfg),
         "config_hash": config_hash(cfg),
         "params": {k: np.asarray(v).tolist() for k, v in params.items()},
     }
@@ -576,15 +568,12 @@ def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
     PARAM_KEYS, each finite and shaped as init_params shapes it for the
     recipe, and config_hash must be the recipe's config_hash."""
     with open(path) as f:
-        obj = _parse_json(f.read(), path)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: need a JSON object with format, config and params, "
-                         f"got {type(obj).__name__}")
-    _require_keys(obj, ("format", "config", "params"), path)
+        obj = read_object(parse_json(f.read(), path), path, ("format", "config", "params"),
+                          ("config_hash",))
     if obj["format"] != 1:
         raise ValueError(f"{path}: unsupported checkpoint format {obj['format']!r}")
     try:
-        cfg = TrainConfig.from_json(json.dumps(obj["config"]))
+        cfg = read_dataclass(obj["config"], TrainConfig, "config")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     tensors = obj["params"]
@@ -593,11 +582,12 @@ def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
     unknown = sorted(set(tensors) - set(PARAM_KEYS))
     if unknown:
         raise ValueError(f"{path}: params: unknown tensor {unknown[0]!r}")
-    _require_keys(tensors, PARAM_KEYS, f"{path}: params")
     shapes = _param_shapes(obs_length(cfg.env.fov, cfg.env.svo_bins), cfg.smp.hidden,
                            cfg.env.svo_bins)
     params = {}
     for k, shape in shapes.items():
+        if k not in tensors:
+            raise ValueError(f"{path}: params: missing key {k!r}")
         try:
             tensor = np.array(tensors[k])
         except ValueError:  # ragged nesting

@@ -10,14 +10,13 @@ arguments and seed (see rng.SplitMix64).
 from __future__ import annotations
 
 import json
-import math
 import os
 from array import array
-from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import is_cell, is_int, parse_json, read_object
 from .rng import SplitMix64, derive_seed
 
 FREE_GLYPH = "."
@@ -290,15 +289,12 @@ class Scenario:
 
 def scenario_from_json(text: str, base_dir: str = ".", source: str = "scenario") -> Scenario:
     """A validated scenario from its JSON text; a map path is read relative to
-    base_dir. Malformed fields raise ValueError naming the field; a missing
-    key or a value that is not an object names source (the file) as well."""
-    obj = _parse_json(text, source)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{source}: need a JSON object with map, starts and goals, "
-                         f"got {type(obj).__name__}")
-    _require_keys(obj, ("map", "starts", "goals"), source)
+    base_dir. Malformed fields raise ValueError naming the field; a missing or
+    unknown key or a value that is not an object names source (the file) as
+    well."""
+    obj = read_object(parse_json(text, source), source, ("map", "starts", "goals"), ("seed",))
     seed = obj.get("seed", 0)
-    if not _is_int(seed):
+    if not is_int(seed):
         raise ValueError(f"seed: {seed!r} is not an integer")
     scn = Scenario(_map_from_ref(obj["map"], base_dir), _cells(obj, "starts"), _cells(obj, "goals"), seed)
     scn.validate()
@@ -316,58 +312,13 @@ def _map_from_ref(ref, base_dir: str = ".") -> GridMap:
         return read_map(f.read())
 
 
-def _parse_json(text: str, source: str, line: int = 1):
-    """The JSON value text holds. A syntax error raises ValueError naming
-    source (the file) and the file line, text starting on the given line."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source} line {line + exc.lineno - 1}: {exc.msg} "
-                         f"at column {exc.colno}") from None
-
-
-def _require_keys(obj: dict, keys, source: str) -> None:
-    """Raise ValueError naming source and the first of keys that obj lacks."""
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{source}: missing key {key!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, Real) and not isinstance(x, bool) and math.isfinite(x)
-
-
-_FIELD_CHECKS = {"int": (_is_int, "an integer"), "float": (_is_number, "a finite number"),
-                 "bool": (lambda x: isinstance(x, bool), "true or false")}
-
-
-def _check_field_types(config) -> None:
-    """Raise ValueError naming the first int, float or bool field of a
-    dataclass instance that holds a value of another type. An int passes as
-    a float."""
-    for f in fields(config):
-        # a postponed annotation is the type's name
-        check = _FIELD_CHECKS.get(getattr(f.type, "__name__", f.type))
-        if check is not None and not check[0](getattr(config, f.name)):
-            raise ValueError(f"{f.name}: {getattr(config, f.name)!r} is not {check[1]}")
-
-
-def _is_cell(x) -> bool:
-    """Is x a [row, col] pair of integers, as a JSON file holds a cell?"""
-    return isinstance(x, list) and len(x) == 2 and _is_int(x[0]) and _is_int(x[1])
-
-
 def _cells(obj: dict, key: str) -> list[tuple[int, int]]:
     """obj[key] as (row, col) cells; a ValueError names a malformed entry."""
     cells = obj[key]
     if not isinstance(cells, list):
         raise ValueError(f"{key}: need a list of [row, col] cells, got {type(cells).__name__}")
     for i, cell in enumerate(cells):
-        if not _is_cell(cell):
+        if not is_cell(cell):
             raise ValueError(f"{key}[{i}]: {cell!r} is not a [row, col] pair of integers")
     return [tuple(cell) for cell in cells]
 

@@ -455,6 +455,27 @@ def _fov(ck):
      "speeds.json line 1: Expecting value at column 6"),
     (_text_file("ck.json", '{"format": 1', ["case-study", "--policy", "trained:ck.json"]),
      "ck.json line 1: Expecting ',' delimiter at column 13"),
+    (_train_config({"smp": {"minibatch": 0}}), "minibatch must be >= 1, got 0"),
+    (_train_config({"smp": {"epochs": -1}}), "epochs must be >= 1, got -1"),
+    (_train_config({"smp": {"hidden": 0}}), "hidden must be >= 1, got 0"),
+    (_train_config({"rollout_steps": 0}), "rollout_steps must be >= 1, got 0"),
+    (_train_config({"corridor_lengths": [12, 5]}),
+     "corridor_lengths must satisfy 3 <= lo <= hi, got (12, 5)"),
+    (_train_config({"corridor_lengths": [0, 1]}),
+     "corridor_lengths must satisfy 3 <= lo <= hi, got (0, 1)"),
+    (_train_config({"p_recess": 2}), "p_recess must lie in [0, 1], got 2"),
+    (_train_config({"env": {"svo_bins": 1}}), "svo_bins must be >= 2, got 1"),
+    (_train_config({"env": {"overlap_decay": 0}}), "overlap_decay must lie in (0, 1], got 0"),
+    (_train_config({"env": {"overlap_cap": 0.0}}), "overlap_cap must be > 0, got 0.0"),
+    (_train_config({"env": {"svo_importance": -2}}), "svo_importance must be > 0, got -2"),
+    (lambda tmp_path: ["gen-map", "--kind", "room", "--size", "4x", "--out", "m"],
+     "--size: need WxH, two integers, got '4x'"),
+    (lambda tmp_path: ["gen-map", "--kind", "maze", "--size", "abc", "--out", "m"],
+     "--size: need WxH, two integers, got 'abc'"),
+    (_scenario_file(foo=1), "s.scen.json: unknown field 'foo'"),
+    (_snapshot(foo=1), "state.json: unknown field 'foo'"),
+    (_checkpoint(lambda ck: {**ck, "foo": 1}), "ck.json: unknown field 'foo'"),
+    (_train_config({"smp": {"gamma": 10 ** 400}}), "00 is not a finite number"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
@@ -477,7 +498,13 @@ def _fov(ck):
         "ttest-object-sample",
         "ttest-nan-json-sample", "ttest-inf-whitespace-sample", "scenario-truncated",
         "train-config-truncated", "resolve-state-truncated", "replay-adg-trace-truncated",
-        "replay-adg-speeds-truncated", "checkpoint-truncated"])
+        "replay-adg-speeds-truncated", "checkpoint-truncated", "train-minibatch-0",
+        "train-epochs-negative", "train-hidden-0", "train-rollout-steps-0",
+        "train-corridor-lengths-reversed", "train-corridor-lengths-too-short",
+        "train-p-recess-above-1", "train-one-svo-bin", "train-overlap-decay-0",
+        "train-overlap-cap-0", "train-svo-importance-negative", "gen-map-size-without-height",
+        "gen-map-size-not-a-size", "scenario-unknown-key", "resolve-unknown-key",
+        "checkpoint-unknown-key", "train-gamma-beyond-float"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)

@@ -101,3 +101,35 @@ def test_private_checker_skips_self_references():
               "def _used():\n    return _TABLE\n"
               "class _Node:\n    pass\n")
     assert orphaned_privates({"m": module}, ["from m import _used\n"]) == ["m._Node", "m._walk"]
+
+
+def boundary_breaches(source: str) -> list[str]:
+    """What in source reads JSON or checks a JSON type outside the input
+    boundary: json.load / json.loads calls, and module-level is_* / _is_*
+    predicates."""
+    tree = ast.parse(source)
+    breaches = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("load", "loads")
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            breaches.append(f"json.{node.func.attr} at line {node.lineno}")
+    for node in tree.body:
+        names = [node.name] if isinstance(node, ast.FunctionDef) else [
+            t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        breaches += [f"predicate {name} at line {node.lineno}" for name in names
+                     if name.lstrip("_").startswith("is_")]
+    return breaches
+
+
+def test_json_is_read_only_at_the_input_boundary():
+    breaches = {p.name: boundary_breaches(p.read_text()) for p in sorted(SRC.glob("*.py"))
+                if p.name != "inputs.py"}
+    assert {name: found for name, found in breaches.items() if found} == {}
+
+
+def test_boundary_checker_sees_loads_and_predicates():
+    source = ("import json\ndef _is_cell(x):\n    return True\nclass G:\n    def is_free(self):\n"
+              "        return json.load(f)\nis_number = lambda x: x\nx = json.loads('1')\n")
+    assert sorted(boundary_breaches(source)) == ["json.load at line 6", "json.loads at line 8",
+                                         "predicate _is_cell at line 2", "predicate is_number at line 7"]
