@@ -9,6 +9,7 @@ measurements only appear behind --timings).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import execution, harness, learner, mapgen
 from .gridworld import EnvConfig
 from .inputs import finite_numbers, is_cell, is_int, is_number, parse_json, read_object
 from .mapgen import _map_from_ref
-from .resolver import resolve as resolver_resolve
+from .resolver import joint_move_fault, resolve as resolver_resolve
 
 
 def _cmd_gen_map(args) -> int:
@@ -93,14 +94,15 @@ def _check_snapshot(grid, state) -> None:
     for name, values in (("intents", intents), ("svos", svos)):
         if not isinstance(values, list) or len(values) != len(positions):
             raise ValueError(f"{name}: need one entry per agent ({len(positions)})")
-    seen = {}
     for i, p in enumerate(positions):
         if not (is_cell(p) and grid.is_free(*p)):
             raise ValueError(f"positions[{i}]: {p} is not a free cell of the "
                              f"{grid.height}x{grid.width} map")
-        if tuple(p) in seen:
-            raise ValueError(f"positions[{i}]: agents {seen[tuple(p)]} and {i} share {p}")
-        seen[tuple(p)] = i
+    cells = [tuple(p) for p in positions]
+    fault = joint_move_fault(cells, cells)
+    if fault is not None:
+        j, i = fault[1]
+        raise ValueError(f"positions[{i}]: agents {j} and {i} share {positions[i]}")
     for i, a in enumerate(intents):
         if not (is_int(a) and 0 <= a <= 4):
             raise ValueError(f"intents[{i}]: {a} is not an action 0-4")
@@ -134,10 +136,8 @@ def _cmd_train(args) -> int:
             cfg = learner.TrainConfig.from_json(f.read(), args.config)
     else:
         cfg = learner.TrainConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.steps is not None:
-        cfg.total_env_steps = args.steps
+    overrides = {"seed": args.seed, "total_env_steps": args.steps}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     os.makedirs(args.out, exist_ok=True)
     rows = []
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .inputs import is_int
+from .resolver import joint_move_fault
 from .rng import derived_uniforms
 
 STAGED = "STAGED"
@@ -66,7 +67,6 @@ def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, in
         raise PlanError("every robot needs a non-empty path")
     horizon = max(len(p) for p in paths)
     padded = [list(p) + [p[-1]] * (horizon - len(p)) for p in paths]
-    n = len(padded)
     jump = None     # the first step, robot by robot, that is not idle or 4-adjacent
     for i, path in enumerate(padded):
         for t, cell in enumerate(path):
@@ -79,35 +79,25 @@ def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, in
                 jump = (before, cell)
             before = cell
     columns = list(zip(*padded))    # per t, the robots' cells in robot order
-    occupant = [dict(zip(column, range(n))) for column in columns]     # per t: cell -> robot
-    for t, here in enumerate(occupant):
-        if len(here) < n:
-            seen = {}
-            for i, cell in enumerate(columns[t]):
-                if cell in seen:
-                    raise PlanError(f"robots {seen[cell]} and {i} share {cell} at t={t}")
-                seen[cell] = i
-    # leaves[t][i]: the robot whose cell robot i enters from t to t+1, in robot
-    # order. No two robots enter one cell, so following leaves from i either
-    # stops or returns to i: a 2-cycle is a swap, a longer one a rotation.
-    leaves = [{i: here[b] for i, (a, b) in enumerate(zip(column, after)) if a != b and b in here}
-              for here, column, after in zip(occupant, columns, columns[1:])]
-    for t, step in enumerate(leaves):
-        for i, j in step.items():
-            if j > i and step.get(j) == i:
-                raise PlanError(f"robots {i} and {j} swap between t={t} and t={t + 1}")
+    # found[kind]: the first t whose move into column t faults first by that
+    # kind; column 0 is checked as a move in which every robot stays
+    found = {}
+    for t, move in enumerate(zip(columns[:1] + columns, columns)):
+        fault = joint_move_fault(*move)
+        if fault is not None:
+            found.setdefault(fault[0], (t, fault[1]))
+    if "shared" in found:
+        t, (j, i) = found["shared"]
+        raise PlanError(f"robots {j} and {i} share {columns[t][i]} at t={t}")
+    if "swap" in found:
+        t, (i, j) = found["swap"]
+        raise PlanError(f"robots {i} and {j} swap between t={t - 1} and t={t}")
     if jump is not None:
         raise PlanError(f"plan steps {jump[0]} -> {jump[1]} are not 4-adjacent")
-    for t, step in enumerate(leaves):
-        seen = set()
-        for i in step:
-            cycle = [i]
-            while cycle[-1] in step and cycle[-1] not in seen:
-                seen.add(cycle[-1])
-                cycle.append(step[cycle[-1]])
-            if len(cycle) > 1 and cycle[-1] == i:
-                raise PlanError(f"robots {', '.join(map(str, cycle[:-1]))} rotate between "
-                                f"t={t} and t={t + 1}: each enters the cell the next one leaves")
+    if "rotation" in found:
+        t, cycle = found["rotation"]
+        raise PlanError(f"robots {', '.join(map(str, cycle))} rotate between "
+                        f"t={t - 1} and t={t}: each enters the cell the next one leaves")
     return padded
 
 

@@ -2,10 +2,11 @@
 
 All agents commit intents, the resolver sanitizes them, and the environment
 applies the joint action atomically. The environment never repairs unsafe
-input: a joint action that breaks the no-shared-vertex or no-swap conditions
-raises, because the resolver owns conflict handling (including the collision
-penalty routing). Per-step external reward composes the movement cost, the
-resolver-assigned collision penalty, and the blocking penalty.
+input: a joint action that breaks the resolver's rule (no shared vertex, no
+swap, no rotation) raises, because the resolver owns conflict handling
+(including the collision penalty routing). Per-step external reward composes
+the movement cost, the resolver-assigned collision penalty, and the blocking
+penalty.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .inputs import check_fields, is_int
 from .mapgen import Scenario, _separates
 from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
+from .resolver import _targets, joint_move_fault
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -126,23 +128,18 @@ class Gridworld:
             if a not in ACTION_DELTAS:  # 1.0 is the action 1; 1.5, 7 and "1" are none
                 raise ValueError(f"agent {i}: action {a!r} is not an integer in 0-4")
         joint_action = joint_action.astype(np.int64)
-        new_positions = []
-        for i in range(self.n):
-            dr, dc = ACTION_DELTAS[int(joint_action[i])]
-            r, c = self.positions[i]
-            tgt = (r + dr, c + dc)
+        new_positions = _targets(self.positions, joint_action)
+        for i, tgt in enumerate(new_positions):
             if not self.grid.is_free(*tgt):
                 raise ConditionViolation(f"agent {i} action {joint_action[i]} hits a static obstacle")
-            new_positions.append(tgt)
-        if len(set(new_positions)) != self.n:
-            raise ConditionViolation("two agents share a vertex after the joint move")
-        # the only agent that can swap with i is the one that stood on i's
-        # target; naming the pair at the smaller index reports the first one
-        occupant = {pos: j for j, pos in enumerate(self.positions)}
-        for i, tgt in enumerate(new_positions):
-            j = occupant.get(tgt, -1)
-            if j > i and new_positions[j] == self.positions[i]:
-                raise ConditionViolation(f"agents {i} and {j} swap vertices")
+        fault = joint_move_fault(self.positions, new_positions)
+        if fault is not None:
+            kind, agents = fault
+            raise ConditionViolation(
+                "two agents share a vertex after the joint move" if kind == "shared"
+                else f"agents {agents[0]} and {agents[1]} swap vertices" if kind == "swap"
+                else f"agents {', '.join(map(str, agents))} rotate: each enters the cell "
+                     "the next one leaves")
 
         self.positions = new_positions
         self.t += 1

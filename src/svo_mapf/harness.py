@@ -53,11 +53,18 @@ class GreedyPolicy:
         return intents, np.zeros(env.n)
 
 
-def _occupancy_aware_greedy(env: Gridworld, agent: int) -> int:
+def _parked_cells(env: Gridworld) -> set[int]:
+    """Flat cells of the agents resting on their goals."""
+    w = env.grid.width
+    return {r * w + c for (r, c), goal in zip(env.positions, env.goals) if (r, c) == goal}
+
+
+def _occupancy_aware_greedy(env: Gridworld, agent: int, parked: set[int] | None = None) -> int:
     """First distance-decreasing action whose target is not a parked agent.
 
     Falls back to the plain greedy step when every descent cell is occupied by
-    an agent resting on its goal, and idles on goal or when stuck.
+    an agent resting on its goal, and idles on goal or when stuck. parked
+    holds `_parked_cells(env)`; a caller asking for every agent builds it once.
     """
     pos, goal = env.positions[agent], env.goals[agent]
     if pos == goal:
@@ -65,9 +72,8 @@ def _occupancy_aware_greedy(env: Gridworld, agent: int) -> int:
     w = env.grid.width
     u = pos[0] * w + pos[1]
     dist, nbrs = _goal_entry(env.grid, goal, u).dist, _neighbour_table(env.grid)
-    parked = {r * w + c for j, (r, c) in enumerate(env.positions)
-              if j != agent and (r, c) == env.goals[j]}
-    v = _descend(nbrs, dist, u, parked)
+    # an agent off its goal is not parked, so the set needs no exclusion
+    v = _descend(nbrs, dist, u, _parked_cells(env) if parked is None else parked)
     if v < 0:
         v = _descend(nbrs, dist, u)
     return _action(u, v, w)
@@ -90,6 +96,7 @@ class HeterogeneousScriptedPolicy:
         n = env.n
         svo = np.zeros(n)
         intents = np.empty(n, dtype=np.int64)
+        parked = _parked_cells(env)
         for i in range(n):
             p = int(env.partners[i])
             in_conflict = (
@@ -101,7 +108,7 @@ class HeterogeneousScriptedPolicy:
                 svo[i] = 45.0
                 intents[i] = self._retreat_step(env, i, overlap.flows[p])
             else:
-                intents[i] = _occupancy_aware_greedy(env, i)
+                intents[i] = _occupancy_aware_greedy(env, i, parked)
         return intents, svo
 
     @staticmethod

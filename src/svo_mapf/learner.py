@@ -532,8 +532,9 @@ class TrainConfig:
             raise ValueError(f"corridor_lengths must satisfy 3 <= lo <= hi, got {self.corridor_lengths}")
         if not 0 <= self.p_recess <= 1:
             raise ValueError(f"p_recess must lie in [0, 1], got {self.p_recess}")
-        if self.rollout_steps < 1:
-            raise ValueError(f"rollout_steps must be >= 1, got {self.rollout_steps}")
+        for name in ("total_env_steps", "rollout_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

@@ -7,6 +7,7 @@ produce a vertex or edge conflict are restricted and replaced by idling, with
 the penalty routed to the strictly more prosocial member of each conflicting
 pair. Idling an agent can break previously valid plans, so affected agents
 re-enter the chain; an idled agent is never un-idled, which bounds the chain.
+A rotation left when the chain empties idles its most prosocial member.
 """
 
 from __future__ import annotations
@@ -40,10 +41,74 @@ class ResolutionOutcome:
     iterations: int          # chain pops consumed
 
 
-def _target(positions, actions, i) -> tuple[int, int]:
-    dr, dc = ACTION_DELTAS[int(actions[i])]
-    r, c = positions[i]
-    return r + dr, c + dc
+def joint_move_fault(before, after) -> tuple[str, tuple[int, ...]] | None:
+    """How the joint move of agents from cells before to cells after breaks
+    the rule for a legal joint move, or None. The move is legal when no two
+    agents end on one cell, swap cells, or rotate: three or more each entering
+    the cell the next one leaves (a cycle conflict, Stern et al., SoCS 2019).
+    The first fault, checked in order:
+    - ("shared", (j, i)): i is the lowest agent that enters a cell an agent
+      j < i enters too;
+    - ("swap", (i, j)), else ("rotation", cycle): the cycle of agents, each
+      entering the cell the next one leaves, that holds the lowest agent of
+      any such cycle, listed from it.
+    """
+    if len(set(after)) < len(after):
+        first = {}
+        for i, cell in enumerate(after):
+            j = first.setdefault(cell, i)
+            if j != i:
+                return "shared", (j, i)
+    occupant = dict(zip(before, range(len(before))))
+    # follows[i]: the agent whose cell moving agent i enters; a walk from
+    # i stops or closes a cycle, so a cycle is met from its lowest member
+    follows = {i: j for i, b in enumerate(after) if (j := occupant.get(b, i)) != i}
+    cycles = []
+    for i in list(follows):
+        walk = [i]
+        while walk[-1] in follows:
+            walk.append(follows.pop(walk[-1]))
+        if len(walk) > 1 and walk[-1] == i:
+            cycles.append(tuple(walk[:-1]))
+    if not cycles:
+        return None
+    cycle = min(cycles, key=lambda c: len(c) > 2)
+    return "swap" if len(cycle) == 2 else "rotation", cycle
+
+
+class _JointMove:
+    """The resolver's working joint move, as two maps: cell -> agent before
+    it and cell -> agents after it. Classifying an agent reads one bucket and
+    one lookup, and idling an agent moves it between buckets."""
+
+    def __init__(self, before, after):
+        self.before, self.after = before, after
+        self.occupant = dict(zip(before, range(len(before))))
+        self.entering: dict = {}
+        for i, cell in enumerate(self.after):
+            self.entering.setdefault(cell, []).append(i)
+
+    def classify(self, grid: GridMap, i: int) -> tuple[str, set[int]]:
+        """`classify` for agent i, read from the two maps."""
+        cell = self.after[i]
+        if not grid.is_free(*cell):
+            return "invalid", set()
+        conflicts = set(self.entering[cell]) - {i}
+        j = self.occupant.get(cell, i)
+        if j != i and self.after[j] == self.before[i]:
+            conflicts.add(j)
+        return ("restricted", conflicts) if conflicts else ("valid", set())
+
+    def stay(self, i: int) -> None:
+        """Agent i keeps its cell instead of moving."""
+        self.entering[self.after[i]].remove(i)
+        self.after[i] = self.before[i]
+        self.entering.setdefault(self.before[i], []).append(i)
+
+
+def _targets(positions, actions: np.ndarray) -> list[tuple[int, int]]:
+    return [(r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1])
+            for (r, c), a in zip(positions, actions.tolist())]
 
 
 def classify(
@@ -59,21 +124,7 @@ def classify(
     restricted means a vertex conflict (shared target cell) or edge conflict
     (position swap) with at least one other agent's current intent.
     """
-    tgt = _target(positions, actions, agent)
-    if not grid.is_free(*tgt):
-        return "invalid", set()
-    conflicts = set()
-    for j in range(len(positions)):
-        if j == agent:
-            continue
-        tgt_j = _target(positions, actions, j)
-        if tgt_j == tgt:
-            conflicts.add(j)
-        elif tgt == positions[j] and tgt_j == positions[agent]:
-            conflicts.add(j)
-    if conflicts:
-        return "restricted", conflicts
-    return "valid", set()
+    return _JointMove(positions, _targets(positions, np.asarray(actions))).classify(grid, agent)
 
 
 def resolve(
@@ -82,7 +133,7 @@ def resolve(
     intents: np.ndarray,
     svo_degrees: np.ndarray,
 ) -> ResolutionOutcome:
-    """Produce a conflict-free joint action from intended actions and SVOs."""
+    """Produce a legal joint action from intended actions and SVOs."""
     n = len(positions)
     intents = np.asarray(intents, dtype=np.int64)
     svo = np.asarray(svo_degrees, dtype=np.float64)
@@ -91,53 +142,55 @@ def resolve(
 
     actions = intents.copy()
     penalties = np.zeros(n, dtype=np.float64)
-    annotations = [NORMAL] * n
-    idled = [False] * n
-
+    annotations = [NORMAL] * n     # an agent idles for good once it leaves NORMAL
+    move = _JointMove(positions, _targets(positions, actions))
     order = sorted(range(n), key=lambda i: (-svo[i], i))
     chain = deque(order)
     queued = set(order)
     max_pops = 4 * n
     iterations = 0
 
-    def cascade(i: int) -> None:
+    def idle(i: int, annotation: str, conflicts=()) -> None:
+        actions[i] = IDLE
+        annotations[i] = annotation
+        for j in sorted(conflicts):
+            if svo[i] > svo[j]:
+                penalties[i] = COLLISION_PENALTY
+            elif svo[j] > svo[i]:
+                penalties[j] = COLLISION_PENALTY
         # Agent i now permanently occupies its cell; everyone aiming at that
-        # cell has a broken plan and must be reconsidered.
-        for j in range(n):
-            if j == i or idled[j] or j in queued:
-                continue
-            if _target(positions, actions, j) == positions[i]:
+        # cell has a broken plan and must be reconsidered. Only this idling
+        # re-queues them, so each agent enters the chain at most twice.
+        move.stay(i)
+        for j in sorted(move.entering[positions[i]]):
+            if annotations[j] == NORMAL and j not in queued:
                 chain.append(j)
                 queued.add(j)
 
-    while chain:
-        i = chain.popleft()
-        queued.discard(i)
-        iterations += 1
-        if iterations > max_pops:
-            raise ResolverError(f"chain exceeded {max_pops} pops for {n} agents")
-        if idled[i]:
-            continue
-        kind, conflicts = classify(grid, positions, actions, i)
-        if kind == "invalid":
-            actions[i] = IDLE
-            idled[i] = True
-            annotations[i] = INVALIDATED
-            penalties[i] = COLLISION_PENALTY
-            cascade(i)
-        elif kind == "restricted":
-            actions[i] = IDLE
-            idled[i] = True
-            annotations[i] = RESTRICTED_IDLED
-            for j in sorted(conflicts):
-                if svo[i] > svo[j]:
-                    penalties[i] = COLLISION_PENALTY
-                elif svo[j] > svo[i]:
-                    penalties[j] = COLLISION_PENALTY
-            cascade(i)
-        # valid: intended action stands, reward passes through
-
-    return ResolutionOutcome(actions, penalties, annotations, iterations)
+    while True:
+        while chain:
+            i = chain.popleft()
+            queued.discard(i)
+            iterations += 1
+            if iterations > max_pops:
+                raise ResolverError(f"chain exceeded {max_pops} pops for {n} agents")
+            if annotations[i] != NORMAL:
+                continue
+            kind, conflicts = move.classify(grid, i)
+            if kind == "invalid":
+                penalties[i] = COLLISION_PENALTY
+                idle(i, INVALIDATED)
+            elif kind == "restricted":
+                idle(i, RESTRICTED_IDLED, conflicts)
+            # valid: intended action stands, reward passes through
+        # The chain leaves no shared cell and no swap, but it can leave a
+        # rotation (of three agents at least): its most prosocial member
+        # idles, the cascade the rest.
+        fault = joint_move_fault(positions, move.after) if n > 2 else None
+        if fault is None:
+            return ResolutionOutcome(actions, penalties, annotations, iterations)
+        i = min(fault[1], key=lambda k: (-svo[k], k))
+        idle(i, RESTRICTED_IDLED, set(fault[1]) - {i})
 
 
 def greedy_intents(

@@ -16,6 +16,7 @@ from svo_mapf import cli, execution, harness, learner, mapgen, social
 from svo_mapf.gridworld import EnvConfig, Gridworld
 from svo_mapf.resolver import greedy_intents, resolve
 from svo_mapf.rng import SplitMix64, derive_seed
+from test_resolver import rotation_in
 
 
 def report(n, ok, detail):
@@ -41,7 +42,7 @@ def mixed_scenario(index, master_seed=20240):
 
 
 def test_criterion_01_safety_suite():
-    """Zero vertex/swap violations and bounded resolver chains over 1000
+    """Zero vertex/swap/rotation violations and bounded resolver chains over 1000
     greedy+resolver episodes on mixed maps with 2-32 agents; < 60 s."""
     t0 = time.perf_counter()
     episodes = 1000
@@ -66,6 +67,7 @@ def test_criterion_01_safety_suite():
                     assert not (env.positions[i] == previous[j]
                                 and env.positions[j] == previous[i]), \
                         f"episode {index}: swap between {i} and {j}"
+            assert rotation_in(previous, env.positions) is None, f"episode {index}: rotation"
             steps_checked += 1
     elapsed = time.perf_counter() - t0
     assert max_agents_seen == 32

@@ -476,6 +476,10 @@ def _fov(ck):
     (_snapshot(foo=1), "state.json: unknown field 'foo'"),
     (_checkpoint(lambda ck: {**ck, "foo": 1}), "ck.json: unknown field 'foo'"),
     (_train_config({"smp": {"gamma": 10 ** 400}}), "00 is not a finite number"),
+    (lambda tmp_path: ["train", "--steps", "-5", "--quiet", "--out", "o"],
+     "total_env_steps must be >= 1, got -5"),
+    (lambda tmp_path: ["train", "--steps", "0", "--quiet", "--out", "o"],
+     "total_env_steps must be >= 1, got 0"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
@@ -504,7 +508,8 @@ def _fov(ck):
         "train-p-recess-above-1", "train-one-svo-bin", "train-overlap-decay-0",
         "train-overlap-cap-0", "train-svo-importance-negative", "gen-map-size-without-height",
         "gen-map-size-not-a-size", "scenario-unknown-key", "resolve-unknown-key",
-        "checkpoint-unknown-key", "train-gamma-beyond-float"])
+        "checkpoint-unknown-key", "train-gamma-beyond-float", "train-steps-negative",
+        "train-steps-0"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)
@@ -538,25 +543,27 @@ def test_replay_adg_rejects_ragged_traces(ragged, tmp_path, capsys):
                             "but the t = 0 record has 2\n")
 
 
-def test_rotation_runs_but_does_not_replay(tmp_path, capsys, monkeypatch):
-    # four agents on a 2x2 map, each goal one step clockwise: the resolver and
-    # the environment accept the rotation, the ADG cannot execute it
+def test_rotation_is_refused_so_its_trace_replays(tmp_path, capsys, monkeypatch):
+    # four agents on a 2x2 map, each goal one step clockwise: the resolver
+    # refuses the rotation, as the ADG does, so nobody moves and the trace
+    # of the run replays
     monkeypatch.chdir(tmp_path)
     (tmp_path / "square.map").write_text("type octile\nheight 2\nwidth 2\nmap\n..\n..\n")
     cells = [[0, 0], [0, 1], [1, 1], [1, 0]]
     (tmp_path / "square.scen.json").write_text(json.dumps(
         {"map": "square.map", "starts": cells, "goals": cells[1:] + cells[:1]}))
     code, out = run_cli(["run", "--scenario", "square.scen.json", "--policy", "greedy",
-                         "--trace", "trace.jsonl"], capsys)
+                         "--max-steps", "3", "--trace", "trace.jsonl"], capsys)
     assert code == 0
     metrics = json.loads(out.splitlines()[-1])
-    assert metrics["success"] and metrics["episode_length"] == 1
+    assert not metrics["success"] and metrics["episode_length"] == 3
+    records = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    assert [r["positions"] for r in records[:-1]] == [cells] * 4
     (tmp_path / "speeds.json").write_text("[1.0, 1.0, 1.0, 1.0]")
     code = cli.main(["replay-adg", "--trace", "trace.jsonl", "--speeds", "speeds.json"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == ("svo-mapf: error: robots 0, 1, 2, 3 rotate between t=0 and t=1: "
-                            "each enters the cell the next one leaves\n")
+    assert code == 0
+    assert json.loads(captured.err) == {"tasks": 16, "makespan": 3.0}
 
 
 def test_training_divergence_is_one_stderr_line(tmp_path, capsys):

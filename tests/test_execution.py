@@ -8,6 +8,7 @@ from svo_mapf import execution, harness, mapgen
 from svo_mapf.execution import DONE, ENQUEUED, AdgError, PlanError
 from svo_mapf.gridworld import EnvConfig
 from svo_mapf.rng import SplitMix64, derive_seed
+from test_acceptance import mixed_scenario
 
 
 def random_plan(seed, size=10, agents=5, max_steps=24):
@@ -324,3 +325,17 @@ def test_validate_plan_rejects_cells_that_are_not_integer_pairs(plan, message):
 def test_validate_plan_accepts_integer_types_beside_int():
     plan = [[(np.int64(0), np.int64(0)), (np.int64(0), np.int64(1))], [(3, 3), (3, 3)]]
     assert execution.validate_plan(plan) == [[(0, 0), (0, 1)], [(3, 3), (3, 3)]]
+
+
+def test_every_episode_plan_builds_an_adg():
+    """The resolver refuses what the ADG refuses, so every plan an episode
+    writes can be executed: the first 200 safety-suite scenarios and the two
+    whose greedy episodes rotate without the rule (89 and 740), and hetero
+    episodes on room maps."""
+    cfg = EnvConfig(max_episode_length=48, blocking_rewards=False)
+    runs = [(mixed_scenario(index), harness.GreedyPolicy()) for index in [*range(200), 740]]
+    runs += [(mapgen.gen_room(16, 16, 12, seed), harness.HeterogeneousScriptedPolicy())
+             for seed in range(4)]
+    for scenario, policy in runs:
+        graph = execution.build_adg(harness.run_episode(scenario, policy, cfg).paths)
+        assert len(execution.topological_order(graph)) == len(graph.tasks)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from svo_mapf import gridworld, harness, mapgen
 from svo_mapf.gridworld import ConditionViolation, EnvConfig, Gridworld, detect_blocking, observe, obs_length
 from svo_mapf.learner import TrainConfig
-from svo_mapf.pathing import ACTION_DELTAS, IDLE, LEFT, RIGHT, UP
+from svo_mapf.pathing import ACTION_DELTAS, DOWN, IDLE, LEFT, RIGHT, UP
 from svo_mapf.rng import derive_seed
 
 
@@ -77,6 +77,18 @@ class TestStepContract:
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
         with pytest.raises(ConditionViolation, match=r"^agents 0 and 2 swap vertices$"):
             env.step(np.array([RIGHT, RIGHT, LEFT, LEFT]))
+
+    def test_rotation_rejected(self):
+        # four agents, each entering the cell the next one leaves, beside a
+        # chain of two followers that ends on a free cell
+        grid = mapgen.GridMap(np.zeros((3, 3), dtype=bool))
+        starts = [(2, 1), (0, 0), (0, 1), (1, 1), (1, 0), (2, 0)]
+        scn = mapgen.Scenario(grid, starts, starts, seed=0)
+        env = Gridworld(scn, EnvConfig(blocking_rewards=False))
+        with pytest.raises(ConditionViolation, match=r"^agents 1, 2, 3, 4 rotate: each enters "
+                                                     r"the cell the next one leaves$"):
+            env.step(np.array([RIGHT, RIGHT, DOWN, LEFT, UP, RIGHT]))
+        assert env.positions == starts and env.t == 0
 
     @given(data=st.data())
     @settings(deadline=None, derandomize=True, max_examples=200)

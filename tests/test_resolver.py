@@ -1,8 +1,11 @@
+from collections import deque
+
 import numpy as np
 
 from svo_mapf import mapgen, resolver
-from svo_mapf.pathing import ACTION_DELTAS, IDLE, LEFT, RIGHT, UP
-from svo_mapf.resolver import INVALIDATED, NORMAL
+from svo_mapf.gridworld import EnvConfig, Gridworld
+from svo_mapf.pathing import ACTION_DELTAS, DOWN, IDLE, LEFT, RIGHT, UP
+from svo_mapf.resolver import INVALIDATED, NORMAL, RESTRICTED_IDLED
 from svo_mapf.rng import SplitMix64
 
 
@@ -18,6 +21,23 @@ def apply_joint(positions, actions):
     return out
 
 
+def rotation_in(before, after):
+    """A cycle of three or more agents, each entering the cell the next one
+    leaves, in the joint move before -> after (cells all distinct), or None."""
+    left_by = {cell: j for j, cell in enumerate(before)}
+    for start in range(len(before)):
+        cycle = [start]
+        while len(cycle) <= len(before):
+            i = cycle[-1]
+            nxt = left_by.get(after[i]) if after[i] != before[i] else None
+            if nxt is None or nxt == start:
+                break
+            cycle.append(nxt)
+        if nxt == start and len(cycle) >= 3:
+            return cycle
+    return None
+
+
 def assert_conditions(grid, positions, adjusted):
     new = apply_joint(positions, adjusted)
     for cell in new:
@@ -26,6 +46,82 @@ def assert_conditions(grid, positions, adjusted):
     for i in range(len(new)):
         for j in range(i + 1, len(new)):
             assert not (new[i] == positions[j] and new[j] == positions[i]), "swap survived"
+    assert rotation_in(positions, new) is None, "rotation survived"
+
+
+# The resolver before its index: every classify scans every agent, and so does
+# every cascade. It accepts rotations. It is the oracle for inputs on which it
+# emits none.
+
+def oracle_target(positions, actions, i):
+    dr, dc = ACTION_DELTAS[int(actions[i])]
+    r, c = positions[i]
+    return r + dr, c + dc
+
+
+def oracle_classify(grid, positions, actions, agent):
+    tgt = oracle_target(positions, actions, agent)
+    if not grid.is_free(*tgt):
+        return "invalid", set()
+    conflicts = set()
+    for j in range(len(positions)):
+        if j == agent:
+            continue
+        tgt_j = oracle_target(positions, actions, j)
+        if tgt_j == tgt:
+            conflicts.add(j)
+        elif tgt == positions[j] and tgt_j == positions[agent]:
+            conflicts.add(j)
+    if conflicts:
+        return "restricted", conflicts
+    return "valid", set()
+
+
+def oracle_resolve(grid, positions, intents, svo_degrees):
+    n = len(positions)
+    intents = np.asarray(intents, dtype=np.int64)
+    svo = np.asarray(svo_degrees, dtype=np.float64)
+    actions = intents.copy()
+    penalties = np.zeros(n, dtype=np.float64)
+    annotations = [NORMAL] * n
+    idled = [False] * n
+    order = sorted(range(n), key=lambda i: (-svo[i], i))
+    chain = deque(order)
+    queued = set(order)
+    iterations = 0
+
+    def cascade(i):
+        for j in range(n):
+            if j == i or idled[j] or j in queued:
+                continue
+            if oracle_target(positions, actions, j) == positions[i]:
+                chain.append(j)
+                queued.add(j)
+
+    while chain:
+        i = chain.popleft()
+        queued.discard(i)
+        iterations += 1
+        if idled[i]:
+            continue
+        kind, conflicts = oracle_classify(grid, positions, actions, i)
+        if kind == "invalid":
+            actions[i] = IDLE
+            idled[i] = True
+            annotations[i] = INVALIDATED
+            penalties[i] = resolver.COLLISION_PENALTY
+            cascade(i)
+        elif kind == "restricted":
+            actions[i] = IDLE
+            idled[i] = True
+            annotations[i] = RESTRICTED_IDLED
+            for j in sorted(conflicts):
+                if svo[i] > svo[j]:
+                    penalties[i] = resolver.COLLISION_PENALTY
+                elif svo[j] > svo[i]:
+                    penalties[j] = resolver.COLLISION_PENALTY
+            cascade(i)
+    return resolver.ResolutionOutcome(actions, penalties, annotations, iterations)
 
 
 class TestClassify:
@@ -188,3 +284,115 @@ def test_greedy_intents_properties():
             dr, dc = ACTION_DELTAS[int(intents[i])]
             dist = distance_field(scn.grid, g)
             assert dist[s[0] + dr, s[1] + dc] == dist[s] - 1
+
+
+def _following_intents(rng, positions):
+    """Intents that mostly follow one another: each agent aims at a random
+    neighbour, preferring an occupied one, so follower chains, cascades and
+    rotations are common."""
+    occupied = set(positions)
+    intents = []
+    for r, c in positions:
+        moves = [a for a in (UP, DOWN, LEFT, RIGHT)
+                 if (r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1]) in occupied]
+        intents.append(rng.choice(moves) if moves and rng.random() < 0.8 else rng.randrange(5))
+    return np.array(intents)
+
+
+def _crowd(rng, grid, n):
+    """n agents on distinct free cells, following intents and SVOs."""
+    positions = rng.sample(grid.free_cells(), n)
+    intents = _following_intents(rng, positions)
+    # a third of the inputs share SVOs, so ties between members are routed too
+    svos = [rng.choice([0.0, 45.0]) if rng.random() < 0.33 else rng.random() * 45.0 for _ in range(n)]
+    return positions, intents, np.array(svos)
+
+
+def test_resolve_matches_the_oracle_wherever_the_oracle_emits_no_rotation():
+    rng = SplitMix64(0x0DD5)
+    compared = cascades = rotations = 0
+    for trial in range(400):
+        n = int(round(2 ** (1 + 7 * rng.random())))      # 2-256 agents, log-uniform
+        side = max(3, int((n / (0.45 + 0.4 * rng.random())) ** 0.5))
+        grid = (open_grid(side, side) if trial % 2 else
+                mapgen.gen_random(side + 2, side + 2, 0.15, 2, seed=rng.next_u64()).grid)
+        n = min(n, len(grid.free_cells()))
+        positions, intents, svos = _crowd(rng, grid, n)
+        want = oracle_resolve(grid, positions, intents, svos)
+        got = resolver.resolve(grid, positions, intents, svos)
+        assert_conditions(grid, positions, got.actions)
+        assert got.iterations <= 4 * n
+        if rotation_in(positions, apply_joint(positions, want.actions)) is not None:
+            rotations += 1
+            continue
+        assert np.array_equal(got.actions, want.actions), trial
+        assert np.array_equal(got.penalties, want.penalties), trial
+        assert got.annotations == want.annotations, trial
+        assert got.iterations == want.iterations, trial
+        compared += 1
+        cascades += want.iterations > n
+    # most inputs are compared, most of those re-queue idled agents' followers,
+    # and the refused rotations are exercised too
+    assert compared > 300 and cascades > compared // 2 and rotations > 10, (compared, cascades, rotations)
+
+
+def test_a_rotation_idles_its_most_prosocial_member_and_then_the_rest():
+    # four agents on a 2x2 block, each one step clockwise; agent 2 is the most
+    # prosocial, so it idles first, taking the penalty, and the cascade idles
+    # the agent entering its cell, then the one entering that one's, and so on
+    grid = open_grid(2, 2)
+    positions = [(0, 0), (0, 1), (1, 1), (1, 0)]
+    intents = np.array([RIGHT, DOWN, LEFT, UP])
+    svos = np.array([10.0, 10.0, 30.0, 20.0])
+    out = resolver.resolve(grid, positions, intents, svos)
+    assert list(out.actions) == [IDLE] * 4
+    assert out.annotations == [RESTRICTED_IDLED] * 4
+    # 2 pays as the most prosocial member; 1 and 0 idle next without paying,
+    # and 3 pays over 0, whose cell it would enter
+    assert list(out.penalties) == [0.0, 0.0, -2.0, -2.0]
+    assert out.iterations == 4 + 3
+    # equal SVOs route no penalty, as for a swap
+    out = resolver.resolve(grid, positions, intents, np.full(4, 20.0))
+    assert list(out.actions) == [IDLE] * 4 and not out.penalties.any()
+    # a rotation beside an agent that follows into it idles that agent too
+    grid = open_grid(3, 3)
+    positions = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 1)]
+    intents = np.array([RIGHT, DOWN, LEFT, UP, UP])
+    out = resolver.resolve(grid, positions, intents, np.zeros(5))
+    assert list(out.actions) == [IDLE] * 5
+
+
+def test_safety_fuzz_at_128_to_256_agents():
+    """Whole episodes on room and random maps at 128-256 agents, with greedy
+    and following intents: every applied joint move keeps off obstacles, shares
+    no vertex, swaps no pair and rotates no cycle, and the chain stays within
+    4n pops. The checks are the test's own, not the library's."""
+    rng = SplitMix64(0x5AFE)
+    scenarios = [mapgen.gen_room(64, 64, 128, 0), mapgen.gen_room(64, 64, 256, 1),
+                 mapgen.gen_random(40, 40, 0.2, 128, 2), mapgen.gen_random(40, 40, 0.2, 256, 3)]
+    steps = rotations_refused = 0
+    for scn in scenarios:
+        env = Gridworld(scn, EnvConfig(max_episode_length=40, blocking_rewards=False))
+        n = env.n
+        while not env.terminated:
+            before = list(env.positions)
+            if env.t % 2:
+                intents = _following_intents(rng, before)
+            else:
+                intents = resolver.greedy_intents(env.grid, before, env.goals)
+            svos = np.array([rng.random() * 45.0 for _ in range(n)])
+            out = resolver.resolve(env.grid, before, intents, svos)
+            assert out.iterations <= 4 * n
+            rotations_refused += rotation_in(before, apply_joint(before, intents)) is not None
+            env.step(out.actions, out.penalties)
+            after = env.positions
+            assert after == apply_joint(before, out.actions)
+            assert all(env.grid.is_free(*cell) for cell in after)
+            assert len(set(after)) == n, "shared vertex"
+            left_by = {cell: j for j, cell in enumerate(before)}
+            for i, cell in enumerate(after):
+                j = left_by.get(cell, i)
+                assert j == i or after[j] != before[i], f"agents {i} and {j} swap"
+            assert rotation_in(before, after) is None, "rotation"
+            steps += 1
+    assert steps == 4 * 40 and rotations_refused >= 5, rotations_refused
