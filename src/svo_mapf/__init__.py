@@ -9,7 +9,7 @@ dependency-ordered plan execution, and a benchmark harness.
 from .mapgen import GridMap, Scenario, gen_corridor, gen_maze, gen_random, gen_room, read_map, write_map
 from .pathing import PathFlow, astar_path, distance_field
 from .social import compute_overlap, redistribute_rewards, stability_target, svo_bin_angles, update_fixed_partners
-from .resolver import ResolutionOutcome, classify, greedy_intents, resolve
+from .resolver import ResolutionOutcome, greedy_intents, resolve
 from .gridworld import EnvConfig, Gridworld, detect_blocking, observe
 from .execution import AdgGraph, AdgTask, build_adg, simulate_execution
 from .harness import BenchmarkReport, corridor_case_study, paired_t_test, run_batch, run_episode
@@ -20,7 +20,7 @@ __all__ = [
     "PathFlow", "distance_field", "astar_path",
     "compute_overlap", "update_fixed_partners", "redistribute_rewards",
     "stability_target", "svo_bin_angles",
-    "ResolutionOutcome", "classify", "resolve", "greedy_intents",
+    "ResolutionOutcome", "resolve", "greedy_intents",
     "EnvConfig", "Gridworld", "observe", "detect_blocking",
     "AdgTask", "AdgGraph", "build_adg", "simulate_execution",
     "BenchmarkReport", "run_batch", "run_episode", "paired_t_test", "corridor_case_study",

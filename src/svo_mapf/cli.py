@@ -32,14 +32,7 @@ def _cmd_gen_map(args) -> int:
             w, h = (int(x) for x in args.size.lower().split("x"))
         except ValueError:
             raise ValueError(f"--size: need WxH, two integers, got {args.size!r}") from None
-        if args.kind == "random":
-            scenario = mapgen.gen_random(w, h, args.density, args.agents, args.seed)
-        elif args.kind == "room":
-            scenario = mapgen.gen_room(w, h, args.agents, args.seed)
-        elif args.kind == "maze":
-            scenario = mapgen.gen_maze(w, h, args.agents, args.seed)
-        else:
-            raise ValueError(f"unknown kind {args.kind!r}")
+        scenario = mapgen.family_scenario(args.kind, w, h, args.density, args.agents, args.seed)
     os.makedirs(args.out, exist_ok=True)
     map_path = os.path.join(args.out, f"{args.kind}-{args.seed}.map")
     scn_path = os.path.join(args.out, f"{args.kind}-{args.seed}.scen.json")
@@ -69,14 +62,8 @@ def _cmd_run(args) -> int:
 
     result = harness.run_episode(scenario, policy, env_cfg, trace_writer=writer,
                                  trace_social=args.social)
-    metrics = {
-        "success": result.metrics.success,
-        "episode_length": result.metrics.episode_length,
-        "arrival_rate": result.metrics.arrival_rate,
-        "goals_reached": result.metrics.goals_reached,
-        "collisions_prevented": result.metrics.collisions_prevented,
-        "total_external_reward": round(result.total_external_reward, 10),
-    }
+    metrics = dataclasses.asdict(result.metrics)
+    metrics["total_external_reward"] = round(result.total_external_reward, 10)
     records.append(json.dumps({"metrics": metrics}, sort_keys=True))
     if args.trace:
         with open(args.trace, "w") as f:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .inputs import check_fields, is_int
 from .mapgen import Scenario, _separates
-from .pathing import ACTION_DELTAS, IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
-from .resolver import _targets, joint_move_fault
+from .pathing import IDLE, UNREACHABLE, _bfs, _goal_entry, distance_field
+from .resolver import _as_actions, _targets, joint_move_fault
 from .social import DEFAULT_OVERLAP_CAP, DEFAULT_OVERLAP_DECAY, DEFAULT_SVO_BINS, DEFAULT_SVO_IMPORTANCE
 
 MOVE_COST = -0.3
@@ -124,10 +124,7 @@ class Gridworld:
         joint_action = np.asarray(joint_action)
         if joint_action.shape != (self.n,):
             raise ValueError("need one action per agent")
-        for i, a in enumerate(joint_action.tolist()):
-            if a not in ACTION_DELTAS:  # 1.0 is the action 1; 1.5, 7 and "1" are none
-                raise ValueError(f"agent {i}: action {a!r} is not an integer in 0-4")
-        joint_action = joint_action.astype(np.int64)
+        joint_action = _as_actions(joint_action)
         new_positions = _targets(self.positions, joint_action)
         for i, tgt in enumerate(new_positions):
             if not self.grid.is_free(*tgt):

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
-from .mapgen import GridMap, Scenario, _neighbour_table, gen_maze, gen_random, gen_room, sample_corridor
+from .mapgen import GridMap, Scenario, _neighbour_table, family_scenario, sample_corridor
 from .pathing import IDLE, _action, _bfs, _descend, _goal_entry
 from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
@@ -59,12 +59,12 @@ def _parked_cells(env: Gridworld) -> set[int]:
     return {r * w + c for (r, c), goal in zip(env.positions, env.goals) if (r, c) == goal}
 
 
-def _occupancy_aware_greedy(env: Gridworld, agent: int, parked: set[int] | None = None) -> int:
+def _occupancy_aware_greedy(env: Gridworld, agent: int, parked: set[int]) -> int:
     """First distance-decreasing action whose target is not a parked agent.
 
     Falls back to the plain greedy step when every descent cell is occupied by
     an agent resting on its goal, and idles on goal or when stuck. parked
-    holds `_parked_cells(env)`; a caller asking for every agent builds it once.
+    holds `_parked_cells(env)`, built once for every agent of a step.
     """
     pos, goal = env.positions[agent], env.goals[agent]
     if pos == goal:
@@ -73,7 +73,7 @@ def _occupancy_aware_greedy(env: Gridworld, agent: int, parked: set[int] | None 
     u = pos[0] * w + pos[1]
     dist, nbrs = _goal_entry(env.grid, goal, u).dist, _neighbour_table(env.grid)
     # an agent off its goal is not parked, so the set needs no exclusion
-    v = _descend(nbrs, dist, u, _parked_cells(env) if parked is None else parked)
+    v = _descend(nbrs, dist, u, parked)
     if v < 0:
         v = _descend(nbrs, dist, u)
     return _action(u, v, w)
@@ -145,13 +145,6 @@ def _nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
     return None
 
 
-def effective_env_cfg(policy, env_cfg: EnvConfig | None) -> EnvConfig:
-    env_cfg = env_cfg or EnvConfig()
-    if hasattr(policy, "env_config"):
-        return policy.env_config(env_cfg)
-    return env_cfg
-
-
 def make_policy(name: str, env_cfg: EnvConfig):
     if name in ("greedy", "homo"):
         return GreedyPolicy()
@@ -206,7 +199,10 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
     trace_social additionally dumps the overlap matrix and partner arrays into
     every trace record (n^2 per step; meant for small-team debugging).
     """
-    env = Gridworld(scenario, effective_env_cfg(policy, env_cfg))
+    env_cfg = env_cfg or EnvConfig()
+    if hasattr(policy, "env_config"):  # a trained policy keeps its checkpoint's geometry
+        env_cfg = policy.env_config(env_cfg)
+    env = Gridworld(scenario, env_cfg)
     paths = [[pos] for pos in env.positions]
     collisions_prevented = 0
     total_external = 0.0
@@ -290,16 +286,6 @@ class BenchmarkReport:
         return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _make_scenario(family: str, size: int, density: float, n_agents: int, seed: int) -> Scenario:
-    if family == "random":
-        return gen_random(size, size, density, n_agents, seed)
-    if family == "room":
-        return gen_room(size, size, n_agents, seed)
-    if family == "maze":
-        return gen_maze(size, size, n_agents, seed)
-    raise ValueError(f"unknown map family {family!r}")
-
-
 def run_batch(family: str, size: int, density: float, n_agents: int, instances: int,
               policy_name: str, seed: int, env_cfg: EnvConfig | None = None) -> BenchmarkReport:
     """Generate and run a batch of instances; deterministic given the seed.
@@ -318,22 +304,16 @@ def run_batch(family: str, size: int, density: float, n_agents: int, instances: 
     t_success = 0.0
     for i in range(instances):
         inst_seed = derive_seed(seed, i)
-        scenario = _make_scenario(family, size, density, n_agents, inst_seed)
+        scenario = family_scenario(family, size, size, density, n_agents, inst_seed)
         t0 = time.perf_counter()
         result = run_episode(scenario, policy, env_cfg)
         wall = time.perf_counter() - t0
         t_all += wall
         if result.metrics.success:
             t_success += wall
-        per_instance.append({
-            "instance": i,
-            "success": int(result.metrics.success),
-            "episode_length": result.metrics.episode_length,
-            "arrival_rate": result.metrics.arrival_rate,
-            "goals_reached": result.metrics.goals_reached,
-            "collisions_prevented": result.metrics.collisions_prevented,
-            "wall_time": wall,
-        })
+        row = {"instance": i, **asdict(result.metrics), "wall_time": wall}
+        row["success"] = int(row["success"])  # bench rows hold success as 0/1
+        per_instance.append(row)
     successes = sum(row["success"] for row in per_instance)
     return BenchmarkReport(
         family=family, size=size, density=density, n_agents=n_agents,

@@ -469,6 +469,19 @@ def gen_maze(width: int, height: int, n_agents: int, seed: int) -> Scenario:
     return scn
 
 
+def family_scenario(family: str, width: int, height: int, density: float, n_agents: int,
+                    seed: int) -> Scenario:
+    """A scenario of the random, room or maze family; density applies to
+    random maps alone."""
+    if family == "random":
+        return gen_random(width, height, density, n_agents, seed)
+    if family == "room":
+        return gen_room(width, height, n_agents, seed)
+    if family == "maze":
+        return gen_maze(width, height, n_agents, seed)
+    raise ValueError(f"unknown map family {family!r}")
+
+
 def gen_corridor(kind: str, corridor_len: int, seed: int) -> Scenario:
     """Two-agent symmetric corridor instance; goals are the swapped starts.
 

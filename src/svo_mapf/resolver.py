@@ -89,7 +89,9 @@ class _JointMove:
             self.entering.setdefault(cell, []).append(i)
 
     def classify(self, grid: GridMap, i: int) -> tuple[str, set[int]]:
-        """`classify` for agent i, read from the two maps."""
+        """Agent i's kind under the working joint move: ('invalid', {}) for an
+        obstacle or boundary target, ('restricted', conflicts) for a shared
+        target or a swap with the agents in conflicts, else ('valid', {})."""
         cell = self.after[i]
         if not grid.is_free(*cell):
             return "invalid", set()
@@ -106,25 +108,18 @@ class _JointMove:
         self.entering.setdefault(self.before[i], []).append(i)
 
 
+def _as_actions(values: np.ndarray) -> np.ndarray:
+    """A copy of values, one entry per agent, as int64 actions. Each entry must
+    equal an integer in 0-4: 1.0 is the action 1; 1.5, 7, nan and "1" are none."""
+    for i, a in enumerate(values.tolist()):
+        if a not in ACTION_DELTAS:
+            raise ValueError(f"agent {i}: action {a!r} is not an integer in 0-4")
+    return values.astype(np.int64)
+
+
 def _targets(positions, actions: np.ndarray) -> list[tuple[int, int]]:
     return [(r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1])
             for (r, c), a in zip(positions, actions.tolist())]
-
-
-def classify(
-    grid: GridMap,
-    positions: list[tuple[int, int]],
-    actions: np.ndarray,
-    agent: int,
-) -> tuple[str, set[int]]:
-    """Classify one agent's action under the current working joint intent.
-
-    Returns ('invalid', {}), ('restricted', conflicting_agents), or
-    ('valid', {}). Invalid means a static collision (obstacle or boundary);
-    restricted means a vertex conflict (shared target cell) or edge conflict
-    (position swap) with at least one other agent's current intent.
-    """
-    return _JointMove(positions, _targets(positions, np.asarray(actions))).classify(grid, agent)
 
 
 def resolve(
@@ -135,12 +130,12 @@ def resolve(
 ) -> ResolutionOutcome:
     """Produce a legal joint action from intended actions and SVOs."""
     n = len(positions)
-    intents = np.asarray(intents, dtype=np.int64)
+    intents = np.asarray(intents)
     svo = np.asarray(svo_degrees, dtype=np.float64)
     if intents.shape != (n,) or svo.shape != (n,):
         raise ValueError("intents and svo_degrees must both have one entry per agent")
 
-    actions = intents.copy()
+    actions = _as_actions(intents)
     penalties = np.zeros(n, dtype=np.float64)
     annotations = [NORMAL] * n     # an agent idles for good once it leaves NORMAL
     move = _JointMove(positions, _targets(positions, actions))

@@ -66,22 +66,10 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: swap i takes j = randrange(i + 1),
-        with the generator inlined. x - x % n is the multiple of n below x,
-        so the draw is kept exactly when it is below randrange's limit."""
-        state = self.state
+        """In-place Fisher-Yates shuffle: swap i takes j = randrange(i + 1)."""
         for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            while True:
-                state = (state + _GOLDEN) & _MASK64
-                z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-                z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-                x = z ^ (z >> 31)
-                j = x % n
-                if x - j <= _MASK64 + 1 - n:
-                    break
+            j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-        self.state = state
 
     def sample(self, seq, k: int) -> list:
         """k distinct elements, order determined by the draw sequence."""

@@ -51,14 +51,6 @@ class OverlapResult:
     hits: np.ndarray = field(repr=False)
 
 
-def agent_flow(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int]) -> tuple[PathFlow, bool]:
-    """Planned flow from the current position; singleton STOP if no path."""
-    try:
-        return astar_path(grid, pos, goal), True
-    except NoPathError:
-        return PathFlow([pos], [STOP]), False
-
-
 def compute_overlap(
     grid: GridMap,
     positions: list[tuple[int, int]],
@@ -108,13 +100,15 @@ def compute_overlap(
                 continue
             along[i] = len(old) > 1 and old.vertices[1] == pos
         if along[i]:
-            flow, ok = PathFlow(old.vertices[1:], old.directions[1:]), True
+            flow = PathFlow(old.vertices[1:], old.directions[1:])
         else:
-            flow, ok = agent_flow(grid, pos, goals[i])
+            try:
+                flow = astar_path(grid, pos, goals[i])
+            except NoPathError:  # no path: the agent's flow is a singleton STOP
+                flow = PathFlow([pos], [STOP])
+                unreachable.append(i)
         flows.append(flow)
         visits.append({v: (t, d) for t, (v, d) in enumerate(zip(flow.vertices, flow.directions))})
-        if not ok:
-            unreachable.append(i)
     if previous is None:
         matrix = np.zeros((n, n), dtype=np.float64)
         hits = np.zeros((n, n), dtype=bool)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from svo_mapf import mapgen
 from svo_mapf.gridworld import EnvConfig, Gridworld
-from svo_mapf.harness import HeterogeneousScriptedPolicy, _nearest_refuge, _occupancy_aware_greedy
+from svo_mapf.harness import (HeterogeneousScriptedPolicy, _nearest_refuge, _occupancy_aware_greedy,
+                             _parked_cells)
 from svo_mapf.pathing import (ACTION_DELTAS, DOWN, IDLE, LEFT, MOVE_ORDER, RIGHT, STOP, UNREACHABLE,
                               UP, NoPathError, PathFlow, _bfs, astar_path, distance_field,
                               greedy_step)
@@ -163,7 +164,8 @@ def test_descent_matches_the_numpy_loops(data):
             agents.append((mover[0], mover[-1]))
         env = env_with(grid, agents)
         for i in range(env.n):
-            assert _occupancy_aware_greedy(env, i) == reference_occupancy_aware_greedy(env, i)
+            assert (_occupancy_aware_greedy(env, i, _parked_cells(env))
+                    == reference_occupancy_aware_greedy(env, i))
 
         # the retreat off a drawn partner path, which may or may not hold start
         path = data.draw(st.lists(cell, max_size=12))
@@ -182,12 +184,14 @@ def test_occupancy_aware_greedy_falls_back_to_a_parked_cell():
     grid = mapgen.GridMap(np.zeros((2, 4), dtype=bool))
     agent = ((0, 1), (1, 3))
     env = env_with(grid, [agent, ((1, 1), (1, 1))])
-    assert _occupancy_aware_greedy(env, 0) == reference_occupancy_aware_greedy(env, 0) == RIGHT
+    assert (_occupancy_aware_greedy(env, 0, _parked_cells(env))
+            == reference_occupancy_aware_greedy(env, 0) == RIGHT)
     env = env_with(grid, [agent, ((1, 1), (1, 1)), ((0, 2), (0, 2))])
-    assert _occupancy_aware_greedy(env, 0) == reference_occupancy_aware_greedy(env, 0) == DOWN
+    assert (_occupancy_aware_greedy(env, 0, _parked_cells(env))
+            == reference_occupancy_aware_greedy(env, 0) == DOWN)
     # an agent standing off its goal is not parked
     env = env_with(grid, [agent, ((1, 1), (0, 0))])
-    assert _occupancy_aware_greedy(env, 0) == DOWN
+    assert _occupancy_aware_greedy(env, 0, _parked_cells(env)) == DOWN
 
 
 def test_every_pair_on_one_map_per_family():

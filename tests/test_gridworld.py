@@ -104,6 +104,18 @@ class TestStepContract:
             return
         want = next((f"agents {i} and {j} swap vertices" for i in range(n) for j in range(i + 1, n)
                      if targets[i] == cells[j] and targets[j] == cells[i]), None)
+        # without a swap, the lowest agent on a rotation (three or more agents,
+        # each entering the cell the next one leaves) names it from itself
+        leaves = {cell: j for j, cell in enumerate(cells)}
+        for i in range(n):
+            if want is not None:
+                break
+            cycle = [i]
+            while (j := leaves.get(targets[cycle[-1]], cycle[-1])) not in cycle:
+                cycle.append(j)
+            if j == i and len(cycle) > 2:
+                want = (f"agents {', '.join(map(str, cycle))} rotate: each enters the cell "
+                        "the next one leaves")
         env = Gridworld(mapgen.Scenario(grid, cells, cells, seed=0), EnvConfig(blocking_rewards=False))
         if want is None:
             env.step(np.array(actions))

@@ -99,6 +99,10 @@ class TestRunBatch:
         with pytest.raises(ValueError):
             harness.run_batch("desert", 8, 0.1, 2, 1, "greedy", 0)
 
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ValueError, match=r"^unknown map family 'hexagon'$"):
+            harness.run_batch("hexagon", 8, 0.1, 2, 1, "greedy", 0)
+
 
 class TestScriptedPolicies:
     def test_no_conflict_both_modes_equal_greedy(self):

@@ -311,6 +311,21 @@ class TestMapIO:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+class TestFamilyScenario:
+    # width != height, so sides passed in the wrong order would show
+    @pytest.mark.parametrize("family, width, height, direct", [
+        ("random", 14, 10, lambda: mapgen.gen_random(14, 10, 0.25, 5, seed=7)),
+        ("room", 14, 10, lambda: mapgen.gen_room(14, 10, 5, seed=7)),
+        ("maze", 15, 11, lambda: mapgen.gen_maze(15, 11, 5, seed=7)),
+    ])
+    def test_is_the_family_generator(self, family, width, height, direct):
+        assert mapgen.family_scenario(family, width, height, 0.25, 5, 7).to_json() == direct().to_json()
+
+    def test_unknown_family_is_named(self):
+        with pytest.raises(ValueError, match=r"^unknown map family 'hexagon'$"):
+            mapgen.family_scenario("hexagon", 8, 8, 0.1, 2, 0)
+
+
 class TestDeterminism:
     def test_identical_args_identical_scenario(self):
         for make in (

@@ -1,6 +1,7 @@
 from collections import deque
 
 import numpy as np
+import pytest
 
 from svo_mapf import mapgen, resolver
 from svo_mapf.gridworld import EnvConfig, Gridworld
@@ -124,18 +125,23 @@ def oracle_resolve(grid, positions, intents, svo_degrees):
     return resolver.ResolutionOutcome(actions, penalties, annotations, iterations)
 
 
+def classify(grid, positions, actions, agent):
+    """The resolver's kind for one agent of a fresh working joint move."""
+    return resolver._JointMove(positions, resolver._targets(positions, actions)).classify(grid, agent)
+
+
 class TestClassify:
     def test_wall_is_invalid(self):
         grid = open_grid()
-        kind, conflicts = resolver.classify(grid, [(0, 0)], np.array([UP]), 0)
+        kind, conflicts = classify(grid, [(0, 0)], np.array([UP]), 0)
         assert kind == "invalid" and conflicts == set()
 
     def test_shared_target_both_restricted(self):
         grid = open_grid()
         positions = [(2, 1), (2, 3)]
         actions = np.array([RIGHT, LEFT])
-        k0, c0 = resolver.classify(grid, positions, actions, 0)
-        k1, c1 = resolver.classify(grid, positions, actions, 1)
+        k0, c0 = classify(grid, positions, actions, 0)
+        k1, c1 = classify(grid, positions, actions, 1)
         assert k0 == "restricted" and c0 == {1}
         assert k1 == "restricted" and c1 == {0}
 
@@ -143,12 +149,12 @@ class TestClassify:
         grid = open_grid()
         positions = [(2, 1), (2, 2)]
         actions = np.array([RIGHT, LEFT])
-        kind, conflicts = resolver.classify(grid, positions, actions, 0)
+        kind, conflicts = classify(grid, positions, actions, 0)
         assert kind == "restricted" and conflicts == {1}
 
     def test_idle_never_invalid(self):
         grid = open_grid()
-        kind, _ = resolver.classify(grid, [(0, 0)], np.array([IDLE]), 0)
+        kind, _ = classify(grid, [(0, 0)], np.array([IDLE]), 0)
         assert kind == "valid"
 
 
@@ -216,6 +222,18 @@ class TestResolve:
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.penalties, b.penalties)
         assert a.annotations == b.annotations and a.iterations == b.iterations
+
+    @pytest.mark.parametrize("bad", [7, -1, 5, 1.5, float("nan"), "1"])
+    def test_invalid_intent_is_named(self, bad):
+        # the action rule of Gridworld.step: no intent is rounded or cast
+        with pytest.raises(ValueError, match=rf"^agent 1: action {bad!r} is not an integer in 0-4$"):
+            resolver.resolve(open_grid(), [(1, 0), (1, 3)], np.array([RIGHT, bad], dtype=object),
+                             np.zeros(2))
+
+    def test_integral_float_intents_are_those_actions(self):
+        out = resolver.resolve(open_grid(), [(1, 0), (1, 3)], np.array([float(RIGHT), float(IDLE)]),
+                               np.zeros(2))
+        assert out.actions.dtype == np.int64 and out.actions.tolist() == [RIGHT, IDLE]
 
 
 def test_exhaustive_two_agent_configurations():
