@@ -22,8 +22,6 @@ STAGED = "STAGED"
 ENQUEUED = "ENQUEUED"
 DONE = "DONE"
 
-_STATUS_NEXT = {STAGED: ENQUEUED, ENQUEUED: DONE}
-
 
 class PlanError(ValueError):
     """The input plan shares a vertex, swaps, steps off 4-adjacency or rotates."""
@@ -41,18 +39,12 @@ class AdgTask:
     dependencies: set[int] = field(default_factory=set)
     status: str = STAGED
 
-    def advance(self, new_status: str) -> None:
-        if _STATUS_NEXT.get(self.status) != new_status:
-            raise AdgError(f"task {self.task_id}: illegal transition {self.status} -> {new_status}")
-        self.status = new_status
-
 
 @dataclass
 class AdgGraph:
     tasks: list[AdgTask]
     robot_tasks: list[list[int]]            # per robot, task ids in time order
     cell_visits: dict                        # cell -> [(enter_t, enter_id, vacate_id|None)]
-    horizon: int
 
 
 def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, int]]]:
@@ -137,7 +129,7 @@ def build_adg(paths: list[list[tuple[int, int]]]) -> AdgGraph:
 
     # validate_plan refuses shared vertices, swaps and rotations, so the graph
     # is acyclic; simulate_execution still reports a cycle as unfinished tasks
-    return AdgGraph(tasks, robot_tasks, cell_visits, horizon)
+    return AdgGraph(tasks, robot_tasks, cell_visits)
 
 
 def _dependents(graph: AdgGraph) -> list[list[int]]:
@@ -147,23 +139,6 @@ def _dependents(graph: AdgGraph) -> list[list[int]]:
         for d in t.dependencies:
             dependents[d].append(t.task_id)
     return dependents
-
-
-def topological_order(graph: AdgGraph) -> list[int]:
-    indeg = [len(t.dependencies) for t in graph.tasks]
-    dependents = _dependents(graph)
-    ready = [tid for tid, deg in enumerate(indeg) if deg == 0]  # ascending, so a heap
-    order = []
-    while ready:
-        tid = heapq.heappop(ready)
-        order.append(tid)
-        for nxt in dependents[tid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(graph.tasks):
-        raise AdgError("dependency graph is cyclic")
-    return order
 
 
 @dataclass(slots=True)

@@ -111,9 +111,6 @@ class Gridworld:
     def on_goal(self) -> np.ndarray:
         return np.array([self.positions[i] == self.goals[i] for i in range(self.n)])
 
-    def arrival_rate(self) -> float:
-        return float(self.on_goal().sum()) / self.n
-
     def choose_svo(self, bins: np.ndarray) -> None:
         """Record every agent's chosen SVO bin as its one-hot standing SVO."""
         self.svo = np.eye(self.config.svo_bins)[bins]

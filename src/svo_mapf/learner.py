@@ -110,10 +110,6 @@ def _param_views(vec: np.ndarray, template: dict) -> dict:
     return out
 
 
-def vector_to_params(vec: np.ndarray, template: dict) -> dict:
-    return {k: v.copy() for k, v in _param_views(vec, template).items()}
-
-
 def forward(params: dict, obs: np.ndarray) -> dict:
     """Shared trunk plus the four output blocks; obs is (B, D)."""
     obs = np.atleast_2d(obs)
@@ -132,10 +128,6 @@ def forward(params: dict, obs: np.ndarray) -> dict:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def gae_advantages(rewards, values, gamma: float, lam: float, bootstrap: float = 0.0) -> np.ndarray:
@@ -268,28 +260,14 @@ def _objective(params: dict, batch: RolloutBatch, cfg: SmpConfig):
     terms = (loss_pi_act, loss_pi_svo, mse_va, mse_vs, ent_act, ent_svo,
              loss_stab, loss_valid, loss_blk)
     if not math.isfinite(total):
-        raise TrainingDiverged(
-            f"non-finite loss; diagnostics: {_diagnostics(total, terms, ratio_act, ratio_svo)}")
+        diagnostics = {name: float(value) for name, value in zip(LOSS_TERMS, terms)}
+        diagnostics.update(total=float(total), ratio_act_mean=float(ratio_act.mean()),
+                           ratio_svo_mean=float(ratio_svo.mean()))
+        raise TrainingDiverged(f"non-finite loss; diagnostics: {diagnostics}")
     cache = (ratio_act, ratio_svo, fwd, rows, lp_act, lp_svo, p_act, p_svo,
              surr_act_raw <= surr_act_clip, surr_svo_raw <= surr_svo_clip,
              err_va, err_vs, plogp_act, plogp_svo, not_t, p_eps, q_eps, valid_mass, blk_prob)
     return float(total), terms, cache
-
-
-def _diagnostics(total, terms, ratio_act, ratio_svo) -> dict:
-    diagnostics = {name: float(value) for name, value in zip(LOSS_TERMS, terms)}
-    diagnostics["total"] = float(total)
-    diagnostics["ratio_act_mean"] = float(ratio_act.mean())
-    diagnostics["ratio_svo_mean"] = float(ratio_svo.mean())
-    return diagnostics
-
-
-def smp3o_loss(params: dict, batch: RolloutBatch, cfg: SmpConfig) -> tuple[float, dict]:
-    """Total objective and its per-term diagnostics (LOSS_TERMS, the total and
-    the mean policy ratios)."""
-    total, terms, cache = _objective(params, batch, cfg)
-    ratio_act, ratio_svo = cache[:2]
-    return total, _diagnostics(total, terms, ratio_act, ratio_svo)
 
 
 def smp3o_loss_and_grad(params: dict, batch: RolloutBatch, cfg: SmpConfig,
@@ -611,7 +589,6 @@ def load_checkpoint(path: str) -> tuple[dict, TrainConfig]:
 class TrainResult:
     params: dict
     curve: list[dict]          # per-iteration {iteration, env_steps, mean_reward, goals, ep_len}
-    config: TrainConfig
     # The iteration whose update went non-finite and why (the TrainingDiverged
     # message); training stopped there with the previous iteration's params.
     diverged_at: int | None = None
@@ -697,7 +674,7 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
         curve.append(row)
         if progress is not None:
             progress(row)
-    return TrainResult(params, curve, cfg, diverged_at, divergence)
+    return TrainResult(params, curve, diverged_at, divergence)
 
 
 class TrainedPolicy:

@@ -59,6 +59,7 @@ class GridMap:
         self.obstacles.flags.writeable = False
         self.height = h
         self.width = w
+        self._free = (~obstacles).ravel().tolist()    # by flat index r * w + c
         self._neighbour_table: list | None = None
         self._cut_vertices: tuple | None = None
         self._components: array | None = None
@@ -69,7 +70,7 @@ class GridMap:
         return 0 <= r < self.height and 0 <= c < self.width
 
     def is_free(self, r: int, c: int) -> bool:
-        return self.in_bounds(r, c) and not self.obstacles[r, c]
+        return self.in_bounds(r, c) and self._free[r * self.width + c]
 
     def free_cells(self) -> list[tuple[int, int]]:
         rs, cs = np.nonzero(~self.obstacles)
@@ -99,7 +100,7 @@ def _neighbour_table(grid: GridMap) -> list[tuple[int, ...]]:
     table = grid._neighbour_table
     if table is None:
         h, w = grid.height, grid.width
-        free = (~grid.obstacles).ravel().tolist()
+        free = grid._free
         table = []
         for i in range(h * w):
             if not free[i]:

@@ -189,10 +189,6 @@ class PathFlow:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
 
 def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> PathFlow:
     """Deterministic shortest path from start to goal as a PathFlow.

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import is_number
 from .mapgen import GridMap
 from .pathing import ACTION_DELTAS, IDLE, greedy_step
 
@@ -128,17 +129,31 @@ def resolve(
     intents: np.ndarray,
     svo_degrees: np.ndarray,
 ) -> ResolutionOutcome:
-    """Produce a legal joint action from intended actions and SVOs."""
+    """Produce a legal joint action from intended actions and SVOs. A
+    ValueError names the first bad input, in this order: a position that is no
+    free cell of the map, an intent that is no action 0-4, two agents on one
+    cell, an SVO angle that is no finite number in [0, 45] (a bool is none)."""
     n = len(positions)
     intents = np.asarray(intents)
-    svo = np.asarray(svo_degrees, dtype=np.float64)
-    if intents.shape != (n,) or svo.shape != (n,):
+    svo = svo_degrees.tolist() if isinstance(svo_degrees, np.ndarray) else svo_degrees
+    if intents.shape != (n,) or not isinstance(svo, (list, tuple)) or len(svo) != n:
         raise ValueError("intents and svo_degrees must both have one entry per agent")
-
+    for i, p in enumerate(positions):
+        if not grid.is_free(*p):
+            raise ValueError(f"positions[{i}]: {list(p)} is not a free cell of the "
+                             f"{grid.height}x{grid.width} map")
     actions = _as_actions(intents)
+    move = _JointMove(positions, _targets(positions, actions))
+    if len(move.occupant) < n:
+        j, i = joint_move_fault(positions, positions)[1]
+        raise ValueError(f"positions[{i}]: agents {j} and {i} share {list(positions[i])}")
+    for i, z in enumerate(svo):
+        # a float needs only the range test, which NaN and both infinities fail
+        if not ((type(z) is float or is_number(z)) and 0 <= z <= 45):
+            raise ValueError(f"svos[{i}]: {z} is not an angle in [0, 45] degrees")
+
     penalties = np.zeros(n, dtype=np.float64)
     annotations = [NORMAL] * n     # an agent idles for good once it leaves NORMAL
-    move = _JointMove(positions, _targets(positions, actions))
     order = sorted(range(n), key=lambda i: (-svo[i], i))
     chain = deque(order)
     queued = set(order)

@@ -173,7 +173,7 @@ def redistribute_rewards(
     """
     if not 0.0 <= svo_degrees <= 45.0:
         raise ValueError(f"SVO angle {svo_degrees} outside [0, 45] degrees")
-    if importance <= 0:
+    if not importance > 0:
         raise ValueError("importance factor must be positive")
     z = math.radians(svo_degrees)
     reward_svo = (reward_self + reward_partner) / importance
@@ -191,7 +191,7 @@ def stability_target(
     saturates at 1; the expected distribution alpha*z_prev + (1-alpha)*z_cur
     pins the SVO under heavy conflict and frees it as conflict fades.
     """
-    if cap <= 0:
+    if not cap > 0:
         raise ValueError("cap must be positive")
     o = float(overlap_with_partner)
     clipped = min(max(o, 0.0), cap)

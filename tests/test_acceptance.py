@@ -230,8 +230,8 @@ def test_criterion_05_gradient_checks():
             vp, vm = vec.copy(), vec.copy()
             vp[i] += h
             vm[i] -= h
-            lp, _ = learner.smp3o_loss(learner.vector_to_params(vp, params), batch, cfg)
-            lm, _ = learner.smp3o_loss(learner.vector_to_params(vm, params), batch, cfg)
+            lp = learner.smp3o_loss_and_grad(learner._param_views(vp, params), batch, cfg)[0]
+            lm = learner.smp3o_loss_and_grad(learner._param_views(vm, params), batch, cfg)[0]
             num = (lp - lm) / (2 * h)
             rel = abs(gvec[i] - num) / max(abs(gvec[i]) + abs(num), 1e-6)
             assert rel < 1e-4, f"point {point}, coordinate {i}: rel err {rel:.2e}"
@@ -276,17 +276,18 @@ def test_criterion_07_adg_suite():
             scn, harness.GreedyPolicy(),
             EnvConfig(max_episode_length=24, blocking_rewards=False)).paths
         graph = execution.build_adg(paths)
-        order = execution.topological_order(graph)
-        rank = {tid: k for k, tid in enumerate(order)}
-        for cell, visits in graph.cell_visits.items():
-            assert [v[0] for v in visits] == sorted(v[0] for v in visits)
-            for (t0_, _, vac0), (_, ent1, _) in zip(visits, visits[1:]):
-                assert rank[vac0] < rank[ent1]
         speeds = [0.5 + 2.0 * rng.random() for _ in range(len(paths))]
         log = execution.simulate_execution(graph, speeds, jitter_seed=index,
                                            jitter_amplitude=0.8)
         seeds_used += 1
         assert all(task.status == execution.DONE for task in graph.tasks)
+        # the DONE events come in a topological order of the ADG
+        rank = {e.task_id: k for k, e in enumerate(e for e in log if e.transition == execution.DONE)}
+        assert all(rank[d] < rank[task.task_id] for task in graph.tasks for d in task.dependencies)
+        for cell, visits in graph.cell_visits.items():
+            assert [v[0] for v in visits] == sorted(v[0] for v in visits)
+            for (t0_, _, vac0), (_, ent1, _) in zip(visits, visits[1:]):
+                assert rank[vac0] < rank[ent1]
         enq = {e.task_id: e.t for e in log if e.transition == execution.ENQUEUED}
         done = {e.task_id: e.t for e in log if e.transition == execution.DONE}
         horizon = max(done.values())

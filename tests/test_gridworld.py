@@ -279,8 +279,10 @@ def test_reward_composition_set():
 
 
 def test_arrival_rate_exact():
+    cfg = EnvConfig(blocking_rewards=False, max_episode_length=1)
     scn = corridor_scenario(length=4, starts=[(1, 0), (1, 3)], goals=[(1, 1), (1, 3)])
-    env = Gridworld(scn, EnvConfig(blocking_rewards=False))
-    env.step(np.array([RIGHT, IDLE]))
-    assert env.arrival_rate() == 1.0
-    assert env.success
+    metrics = harness.run_episode(scn, harness.GreedyPolicy(), cfg).metrics
+    assert metrics.arrival_rate == 1.0 and metrics.success
+    scn = corridor_scenario(length=4, starts=[(1, 0), (1, 3)], goals=[(1, 2), (1, 3)])
+    metrics = harness.run_episode(scn, harness.GreedyPolicy(), cfg).metrics
+    assert metrics.arrival_rate == 0.5 and not metrics.success

@@ -4,16 +4,19 @@ OSError for a map path that does not open), never with another exception."""
 
 import io
 import json
+import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, field
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from svo_mapf import cli, execution, learner, mapgen
+from svo_mapf import cli, execution, learner, mapgen, resolver
 from svo_mapf.inputs import check_fields, finite_numbers, read_dataclass, read_object
+from svo_mapf.pathing import ACTION_DELTAS
 
 PROPERTY = settings(deadline=None, derandomize=True, max_examples=100)
 
@@ -27,9 +30,10 @@ JSON = st.recursive(
     max_leaves=6)
 
 
-def near(valid, junk=JSON):
-    """Mostly the valid strategy, sometimes an arbitrary JSON value."""
-    return st.sampled_from([valid] * 9 + [junk]).flatmap(lambda strategy: strategy)
+def near(valid, junk=JSON, odds=9):
+    """Mostly the valid strategy (odds to 1), sometimes the junk one, by
+    default an arbitrary JSON value."""
+    return st.sampled_from([valid] * odds + [junk]).flatmap(lambda strategy: strategy)
 
 
 def broken(draw, fields: dict):
@@ -226,6 +230,52 @@ def test_resolve_snapshots_refuse_with_one_line_or_keep_the_pop_bound(state, tmp
     assert code == 0 and len(result["actions"]) == n and result["iterations"] <= 4 * n
 
 
+ANGLES = st.floats(-5, 50) | st.sampled_from([0.0, 45.0, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def resolve_calls(draw):
+    """resolve's arguments: a map, and n agents on integer cells anywhere (on
+    or off the map, on an obstacle or on one cell, though mostly on distinct
+    free cells), their intents in -1..5 and angles that include NaN and both
+    infinities, as a list or an array."""
+    text = draw(st.sampled_from([MAP_3X3, MAP_4X2]))
+    grid = mapgen.read_map(text)
+    n = draw(st.integers(1, 6))
+    free = st.permutations(grid.free_cells()).map(lambda cells: cells[:n])
+    anywhere = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=n, max_size=n)
+    positions = draw(near(free, anywhere, 2))
+    def per_agent(entry):
+        return st.lists(entry, min_size=n, max_size=n)
+    intents = draw(near(per_agent(st.integers(0, 4)), per_agent(st.integers(0, 4) | st.sampled_from([-1, 5])), 2))
+    svos = draw(near(per_agent(st.floats(0, 45)), per_agent(ANGLES), 2))
+    return grid, positions, np.array(intents), draw(st.sampled_from([svos, np.array(svos)]))
+
+
+@given(call=resolve_calls())
+@example(call=(mapgen.read_map(MAP_3X3), [(0, 0), (0, 1)], np.array([4, 3]), [math.nan, 0.0]))
+@example(call=(mapgen.read_map(MAP_3X3), [(0, 0), (0, 1)], np.array([4, 3]), np.array([0.0, math.inf])))
+@PROPERTY
+def test_resolve_refuses_bad_input_or_returns_a_legal_joint_move(call):
+    grid, positions, intents, svos = call
+
+    def free(r, c):
+        return 0 <= r < grid.height and 0 <= c < grid.width and not grid.obstacles[r, c]
+    bad = (not all(free(*p) for p in positions) or len(set(positions)) < len(positions)
+           or not all(0 <= a <= 4 for a in intents) or not all(0 <= z <= 45 for z in svos))
+    try:
+        out = resolver.resolve(grid, positions, intents, svos)
+    except ValueError:
+        assert bad
+        return
+    assert not bad
+    targets = [(r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1])
+               for (r, c), a in zip(positions, out.actions.tolist())]
+    assert resolver.joint_move_fault(positions, targets) is None
+    assert all(free(*cell) for cell in targets)
+    assert out.iterations <= 4 * len(positions)
+
+
 @st.composite
 def plans(draw):
     """Paths of up to four robots on a 4x4 grid: random walks of idle and
@@ -255,7 +305,6 @@ def test_build_adg_refuses_plans_with_plan_errors_and_stays_acyclic(paths):
         graph = execution.build_adg(paths)
     except execution.PlanError:
         return
-    assert len(execution.topological_order(graph)) == len(graph.tasks)
     log = execution.simulate_execution(graph, [1.0 + 0.5 * i for i in range(len(paths))])
     for spans in execution.occupancy_intervals(graph, log).values():
         for a, (s0, e0, r0) in enumerate(spans):

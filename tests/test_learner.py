@@ -95,9 +95,10 @@ class TestLoss:
     def test_ratio_identity_at_old_params(self):
         params = L.init_params(39, 8, 3, seed=5, scale=0.3)
         batch = batch_from_params(params, seed=9)
-        _, diag = L.smp3o_loss(params, batch, tiny_cfg())
-        assert diag["ratio_act_mean"] == pytest.approx(1.0, abs=1e-12)
-        assert diag["ratio_svo_mean"] == pytest.approx(1.0, abs=1e-12)
+        _, terms, (ratio_act, ratio_svo, *_) = L._objective(params, batch, tiny_cfg())
+        diag = dict(zip(L.LOSS_TERMS, terms))
+        assert ratio_act.mean() == pytest.approx(1.0, abs=1e-12)
+        assert ratio_svo.mean() == pytest.approx(1.0, abs=1e-12)
         assert diag["loss_pi_act"] == pytest.approx(float(batch.adv_svo.mean()), abs=1e-12)
         assert diag["loss_pi_svo"] == pytest.approx(float(batch.adv_action.mean()), abs=1e-12)
 
@@ -105,7 +106,8 @@ class TestLoss:
         params = L.init_params(39, 8, 3, seed=6, scale=0.3)
         batch = random_batch(11, zero_adv=True)
         cfg = tiny_cfg()
-        total, diag = L.smp3o_loss(params, batch, cfg)
+        total, terms, _ = L._objective(params, batch, cfg)
+        diag = dict(zip(L.LOSS_TERMS, terms))
         assert diag["loss_pi_act"] == 0.0 and diag["loss_pi_svo"] == 0.0
         expected = (cfg.value_coef * (diag["mse_value_act"] + diag["mse_value_svo"])
                     - cfg.entropy_coef * (diag["entropy_act"] + diag["entropy_svo"])
@@ -128,8 +130,8 @@ class TestLoss:
                 vp, vm = vec.copy(), vec.copy()
                 vp[i] += h
                 vm[i] -= h
-                lp, _ = L.smp3o_loss(L.vector_to_params(vp, params), batch, cfg)
-                lm, _ = L.smp3o_loss(L.vector_to_params(vm, params), batch, cfg)
+                lp = L.smp3o_loss_and_grad(L._param_views(vp, params), batch, cfg)[0]
+                lm = L.smp3o_loss_and_grad(L._param_views(vm, params), batch, cfg)[0]
                 num = (lp - lm) / (2 * h)
                 rel = abs(gvec[i] - num) / max(abs(gvec[i]) + abs(num), 1e-6)
                 assert rel < 1e-4, f"coordinate {i}: analytic {gvec[i]} vs numeric {num}"
@@ -151,8 +153,8 @@ class TestLoss:
         params = L.init_params(39, 8, 3, seed=3, scale=2.0)
         batch = random_batch(21)
         out = L.forward(params, batch.obs)
-        p_act = L.softmax(out["logits_act"])
-        p_svo = L.softmax(out["logits_svo"])
+        p_act = np.exp(L.log_softmax(out["logits_act"]))
+        p_svo = np.exp(L.log_softmax(out["logits_svo"]))
         assert np.allclose(p_act.sum(axis=1), 1.0, atol=1e-9)
         assert np.allclose(p_svo.sum(axis=1), 1.0, atol=1e-9)
 
@@ -160,7 +162,7 @@ class TestLoss:
         params = L.init_params(39, 8, 3, seed=3)
         params["w_in"][0, 0] = np.nan
         with pytest.raises(L.TrainingDiverged):
-            L.smp3o_loss(params, random_batch(2), tiny_cfg())
+            L.smp3o_loss_and_grad(params, random_batch(2), tiny_cfg())
 
     def test_stability_dominant_training_converges_to_target(self):
         # with a huge stability weight, gradient steps on a frozen batch pull
@@ -173,7 +175,7 @@ class TestLoss:
         batch.z_exp = np.tile(np.array([0.7, 0.2, 0.1]), (4, 1))
 
         def kl_to_target():
-            p = L.softmax(L.forward(params, batch.obs)["logits_svo"])
+            p = np.exp(L.log_softmax(L.forward(params, batch.obs)["logits_svo"]))
             t = batch.z_exp
             return float((t * (np.log(t) - np.log(p))).sum(axis=1).mean())
 
@@ -267,8 +269,8 @@ class TestTraining:
             assert np.array_equal(loaded[k], result.params[k])
         assert L.config_hash(loaded_cfg) == L.config_hash(cfg)
         batch = random_batch(50, D=obs_length(5, 3), K=3)
-        a, _ = L.smp3o_loss(result.params, batch, cfg.smp)
-        b, _ = L.smp3o_loss(loaded, batch, cfg.smp)
+        a = L.smp3o_loss_and_grad(result.params, batch, cfg.smp)[0]
+        b = L.smp3o_loss_and_grad(loaded, batch, cfg.smp)[0]
         assert a == b
 
     def test_training_is_deterministic(self):
@@ -462,5 +464,5 @@ def test_minibatch_takes_the_loss_fields():
     for k in fields[:12]:
         assert np.array_equal(getattr(mb, k), getattr(batch, k)[idx]), k
     assert all(getattr(mb, k) is None for k in fields[12:])
-    total, _ = L.smp3o_loss(L.init_params(39, 8, 3, seed=1), mb, tiny_cfg())
+    total = L.smp3o_loss_and_grad(L.init_params(39, 8, 3, seed=1), mb, tiny_cfg())[0]
     assert np.isfinite(total)

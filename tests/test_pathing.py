@@ -81,7 +81,7 @@ class TestPaths:
         flow = pathing.astar_path(grid, (1, 1), (1, 1))
         assert flow.vertices == [(1, 1)]
         assert flow.directions == [STOP]
-        assert flow.length == 0
+        assert len(flow) - 1 == 0
 
     def test_forced_corridor_path(self):
         scn = mapgen.gen_corridor("recess", 6, seed=1)
@@ -94,7 +94,7 @@ class TestPaths:
             scn = mapgen.gen_random(14, 14, 0.3, 2, seed=seed)
             for s, g in zip(scn.starts, scn.goals):
                 flow = pathing.astar_path(scn.grid, s, g)
-                assert flow.length == pathing.distance_field(scn.grid, g)[s]
+                assert len(flow) - 1 == pathing.distance_field(scn.grid, g)[s]
                 count += 1
         assert count == 50
 

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import numpy as np
@@ -223,12 +224,30 @@ class TestResolve:
         assert np.array_equal(a.penalties, b.penalties)
         assert a.annotations == b.annotations and a.iterations == b.iterations
 
-    @pytest.mark.parametrize("bad", [7, -1, 5, 1.5, float("nan"), "1"])
-    def test_invalid_intent_is_named(self, bad):
+    @pytest.mark.parametrize("positions, intent, svos, message", [
         # the action rule of Gridworld.step: no intent is rounded or cast
-        with pytest.raises(ValueError, match=rf"^agent 1: action {bad!r} is not an integer in 0-4$"):
-            resolver.resolve(open_grid(), [(1, 0), (1, 3)], np.array([RIGHT, bad], dtype=object),
-                             np.zeros(2))
+        *[pytest.param([(1, 0), (1, 3)], bad, [0.0, 0.0],
+                       f"agent 1: action {bad!r} is not an integer in 0-4", id=str(bad))
+          for bad in [7, -1, 5, 1.5, float("nan"), "1"]],
+        # the SVO order needs finite numbers in [0, 45]: NaN compares false
+        # both ways, so a swap would idle both agents with no penalty
+        *[pytest.param([(1, 0), (1, 3)], LEFT, [45.0, bad],
+                       f"svos[1]: {bad} is not an angle in [0, 45] degrees", id=f"angle-{bad}")
+          for bad in [float("nan"), float("inf"), float("-inf"), -1e-9, 45.0001, True, "1"]],
+        pytest.param([(1, 0), (1, 0)], LEFT, [0.0, 0.0], "positions[1]: agents 0 and 1 share [1, 0]",
+                     id="shared-cell"),
+        pytest.param([(1, 0), (5, 5)], IDLE, [0.0, 0.0],
+                     "positions[1]: [5, 5] is not a free cell of the 5x5 map", id="off-map"),
+        pytest.param([(4, 4), (1, 0)], IDLE, [0.0, 0.0],
+                     "positions[0]: [4, 4] is not a free cell of the 5x5 map", id="on-obstacle"),
+    ])
+    def test_invalid_intent_is_named(self, positions, intent, svos, message):
+        # every input resolve would misread is refused, naming the first fault
+        obstacles = np.zeros((5, 5), dtype=bool)
+        obstacles[4, 4] = True
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resolver.resolve(mapgen.GridMap(obstacles), positions,
+                             np.array([RIGHT, intent], dtype=object), svos)
 
     def test_integral_float_intents_are_those_actions(self):
         out = resolver.resolve(open_grid(), [(1, 0), (1, 3)], np.array([float(RIGHT), float(IDLE)]),

@@ -163,6 +163,10 @@ class TestRedistribution:
         with pytest.raises(ValueError):
             social.redistribute_rewards(-0.3, -0.3, -1.0)
 
+    def test_nan_importance_is_refused(self):
+        with pytest.raises(ValueError, match="^importance factor must be positive$"):
+            social.redistribute_rewards(1.0, 1.0, 10.0, importance=math.nan)
+
     def test_self_pair_degenerate(self):
         r_s, r_a = social.redistribute_rewards(-0.3, -0.3, 45.0, importance=2.0)
         assert r_s == pytest.approx(-0.3)
@@ -235,6 +239,10 @@ class TestStabilityTarget:
     def test_cap_domain(self):
         with pytest.raises(ValueError):
             social.stability_target(np.array([1.0]), np.array([1.0]), 0.5, cap=0.0)
+
+    def test_nan_cap_is_refused(self):
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            social.stability_target(np.full(3, 1 / 3), np.full(3, 1 / 3), 0.5, cap=math.nan)
 
 
 def test_svo_bin_angles_default():
