@@ -14,7 +14,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .inputs import is_int
+from .inputs import is_position
 from .resolver import joint_move_fault
 from .rng import derived_uniforms
 
@@ -62,9 +62,7 @@ def validate_plan(paths: list[list[tuple[int, int]]]) -> list[list[tuple[int, in
     jump = None     # the first step, robot by robot, that is not idle or 4-adjacent
     for i, path in enumerate(padded):
         for t, cell in enumerate(path):
-            if not (isinstance(cell, tuple) and len(cell) == 2
-                    and (type(cell[0]) is int or is_int(cell[0]))
-                    and (type(cell[1]) is int or is_int(cell[1]))):
+            if not is_position(cell):
                 raise PlanError(f"robot {i} at t={t}: cell {cell!r} is not a (row, col) "
                                 "pair of integers")
             if t and jump is None and abs(cell[0] - before[0]) + abs(cell[1] - before[1]) > 1:

@@ -95,7 +95,6 @@ class Gridworld:
         self.positions = list(self.scenario.starts)
         self.t = 0
         self.terminated = False
-        self.success = False
         k = self.config.svo_bins
         self.partners = np.arange(self.n, dtype=np.int64)
         # standing SVO choice per agent over the bins; uniform before the first
@@ -153,11 +152,7 @@ class Gridworld:
                 blocked[i] = detect_blocking(self, i)
             rewards += BLOCK_PENALTY * blocked
 
-        if bool(on_goal.all()):
-            self.terminated = True
-            self.success = True
-        elif self.t >= self.config.max_episode_length:
-            self.terminated = True
+        self.terminated = bool(on_goal.all()) or self.t >= self.config.max_episode_length
         return StepOutcome(rewards, blocked)
 
 
@@ -200,24 +195,14 @@ def _chokes(grid, b, start, goal, threshold) -> bool:
                 floor=entry.floor())[g] == UNREACHABLE
 
 
-def _blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
-    """Does treating blocker_cell as an obstacle choke start's route to goal?
-
-    Removing a cell lengthens the shortest distance d0 only if the cell is on
-    every shortest path, i.e. on start's dominator chain toward the goal.
-    Off the chain a path of length d0 <= d0 + threshold survives; on it,
-    _chokes decides.
-    """
-    b = blocker_cell[0] * grid.width + blocker_cell[1]
-    return b in _dominator_chain(grid, start, goal) and _chokes(grid, b, start, goal, threshold)
-
-
 def detect_blocking(env: Gridworld, agent: int) -> int:
     """Count agents whose route to goal the given agent currently chokes.
 
     Agent j counts as blocked when treating agent's cell as an obstacle makes
     j's goal unreachable or lengthens its shortest path by more than the
     configured threshold relative to the unobstructed distance field.
+    A cell off j's dominator chain leaves one of j's shortest paths intact,
+    so only a blocker on the chain can block j, and _chokes decides it.
 
     With the environment's map and threshold fixed, (blocker cell, start,
     goal) decides a verdict, so the environment keeps what a joint state

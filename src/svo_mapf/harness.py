@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
-from .mapgen import GridMap, Scenario, _neighbour_table, family_scenario, sample_corridor
-from .pathing import IDLE, _action, _bfs, _descend, _goal_entry
+from .mapgen import Scenario, _neighbour_table, family_scenario, sample_corridor
+from .pathing import IDLE, _action, _descend, _goal_entry
 from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
 from .rng import derive_seed
@@ -32,8 +32,8 @@ class EpisodeMetrics:
     success: bool
     episode_length: int
     arrival_rate: float
-    collisions_prevented: int
     goals_reached: int
+    collisions_prevented: int
 
 
 @dataclass
@@ -113,36 +113,32 @@ class HeterogeneousScriptedPolicy:
 
     @staticmethod
     def _retreat_step(env: Gridworld, agent: int, partner_flow) -> int:
+        """The first move toward the nearest free cell off the partner's path,
+        ties by (distance, row, col); IDLE off the path or with no such cell.
+        One BFS from the agent enters only path cells (a shortest route to that
+        cell runs on them until its end) and labels each cell with its first
+        labeller's first move: FIFO order keeps a level sorted by first move,
+        and the flat index orders the level's cells like (row, col)."""
         path_cells = set(partner_flow.vertices)
-        pos = env.positions[agent]
-        if pos not in path_cells:
+        if env.positions[agent] not in path_cells:
             return IDLE
-        refuge = _nearest_refuge(env.grid, pos, path_cells)
-        if refuge is None:
-            return IDLE
-        # distances from the refuge, searched only until pos is labelled: by
-        # then every cell one step closer than pos holds its final distance
         w = env.grid.width
-        here = pos[0] * w + pos[1]
-        dist = _bfs(env.grid, refuge[0] * w + refuge[1], target=here)
-        return _action(here, _descend(_neighbour_table(env.grid), dist, here), w)
-
-
-def _nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
-    """Closest free cell off the given path; ties by (distance, row, col).
-
-    Searches ring by ring, entering only path cells; the flat index orders a
-    ring's cells like (row, col)."""
-    w = grid.width
-    nbrs = _neighbour_table(grid)
-    ring, seen = [start[0] * w + start[1]], set()
-    while ring:
-        off = [u for u in ring if divmod(u, w) not in path_cells]
-        if off:
-            return divmod(min(off), w)
-        seen.update(ring)
-        ring = {v for u in ring for v in nbrs[u] if v not in seen}
-    return None
+        here = env.positions[agent][0] * w + env.positions[agent][1]
+        nbrs = _neighbour_table(env.grid)
+        first = {here: IDLE}  # IDLE is 0, so the agent's neighbours take their own move
+        level = [here]
+        while level:
+            off = [u for u in level if divmod(u, w) not in path_cells]
+            if off:
+                return first[min(off)]
+            ring = []
+            for u in level:
+                for v in nbrs[u]:
+                    if v not in first:
+                        first[v] = first[u] or _action(here, v, w)
+                        ring.append(v)
+            level = ring
+        return IDLE
 
 
 def make_policy(name: str, env_cfg: EnvConfig):
@@ -182,11 +178,8 @@ def episode_steps(env: Gridworld, policy, trace_social: bool = False):
         if policy.needs_social or trace_social:
             overlap = social.compute_overlap(env.grid, env.positions, env.goals,
                                              env.config.overlap_decay, previous=overlap)
-            if env.t == 0:
-                env.partners = overlap.partners.copy()
-            else:
-                env.partners = social.update_fixed_partners(overlap.partners, overlap.matrix,
-                                                            env.partners)
+            env.partners = social.update_fixed_partners(overlap.partners, overlap.matrix,
+                                                        env.partners)
         intents, svo_deg = policy.step(env, overlap)
         res = resolve(env.grid, env.positions, intents, svo_deg)
         yield EpisodeStep(overlap, svo_deg, res, env.step(res.actions, res.penalties))
@@ -228,11 +221,11 @@ def run_episode(scenario: Scenario, policy, env_cfg: EnvConfig | None = None,
             trace_writer(record)
     on_goal = env.on_goal()
     metrics = EpisodeMetrics(
-        success=env.success,
+        success=bool(on_goal.all()),
         episode_length=env.t,
         arrival_rate=float(on_goal.sum()) / env.n,
-        collisions_prevented=collisions_prevented,
         goals_reached=int(on_goal.sum()),
+        collisions_prevented=collisions_prevented,
     )
     return EpisodeResult(metrics, paths, total_external)
 
@@ -257,8 +250,7 @@ class BenchmarkReport:
         return np.array([row[name] for row in self.per_instance], dtype=np.float64)
 
     def to_csv(self) -> str:
-        columns = ["instance", "success", "episode_length", "arrival_rate",
-                   "goals_reached", "collisions_prevented"]
+        columns = ["instance", *(f.name for f in fields(EpisodeMetrics))]
         lines = [",".join(columns)]
         for row in self.per_instance:
             lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
@@ -268,21 +260,11 @@ class BenchmarkReport:
     def to_json(self, include_timings: bool = False) -> str:
         # Wall-clock fields are excluded from the canonical report so that
         # identical (args, seed) reruns serialize byte-identically.
-        obj = {
-            "family": self.family, "size": self.size, "density": self.density,
-            "n_agents": self.n_agents, "instances": self.instances,
-            "seed": self.seed, "policy": self.policy,
-            "success_rate": self.success_rate,
-            "mean_episode_length": self.mean_episode_length,
-            "mean_arrival_rate": self.mean_arrival_rate,
-            "per_instance": [
-                {k: v for k, v in row.items() if include_timings or k != "wall_time"}
-                for row in self.per_instance
-            ],
-        }
-        if include_timings:
-            obj["time_general"] = self.time_general
-            obj["time_success"] = self.time_success
+        obj = asdict(self)
+        if not include_timings:
+            del obj["time_general"], obj["time_success"]
+            for row in obj["per_instance"]:
+                del row["wall_time"]
         return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 

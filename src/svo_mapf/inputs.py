@@ -31,6 +31,12 @@ def is_number(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def is_position(x) -> bool:
+    """Is x a (row, col) tuple of two integers, as the library holds a cell?"""
+    return (isinstance(x, tuple) and len(x) == 2 and (type(x[0]) is int or is_int(x[0]))
+            and (type(x[1]) is int or is_int(x[1])))
+
+
 def is_cell(x) -> bool:
     """Is x a [row, col] pair of integers, as a JSON file holds a cell?"""
     return isinstance(x, list) and len(x) == 2 and is_int(x[0]) and is_int(x[1])
@@ -84,8 +90,7 @@ def finite_numbers(values, source: str, what: str, parse=None) -> list[float]:
 
 _CHECKS = {int: (is_int, "an integer"), float: (is_number, "a finite number"),
            bool: (lambda x: isinstance(x, bool), "true or false"),
-           tuple[int, int]: (lambda x: isinstance(x, tuple) and len(x) == 2 and all(map(is_int, x)),
-                             "a pair of integers")}
+           tuple[int, int]: (is_position, "a pair of integers")}
 
 
 def check_fields(instance) -> None:

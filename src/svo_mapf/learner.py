@@ -450,7 +450,7 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, sampler,
         # truncation, so the tail bootstraps from the critic's estimate of the
         # final state instead of pretending the episode ended well.
         T = env.t
-        if env.success:
+        if env.on_goal().all():
             boot = {"action": np.zeros(n), "svo": np.zeros(n)}
         else:
             final_out = forward(params, np.stack([observe(env, i) for i in range(n)]))

@@ -6,10 +6,10 @@ costs this returns the same lengths an open-list search would, but one BFS
 per goal is amortized across every timestep and agent that plans to it, and
 it runs backward from the goal only until it reaches the cells asked about
 (Silver's Reverse Resumable A*, "Cooperative Pathfinding", 2005, at unit
-cost). Every search runs on one BFS kernel over the map's flat neighbour
-table (see mapgen); the goal's BFS also records each cell's immediate
-dominator, which blocking detection walks, and every step toward a cell (a
-path, a greedy step, the scripted policies' moves) is one descent helper
+cost). Every distance search runs on one BFS kernel over the map's flat
+neighbour table (see mapgen); the goal's BFS also records each cell's
+immediate dominator, which blocking detection walks, and every step toward
+a goal (a path, a greedy or occupancy-aware step) is one descent helper
 over that table. Descent is deterministic, so the path from any cell on a
 planned path is that path's suffix; the overlap's step-to-step reuse (see
 social.compute_overlap) relies on this and plans no path twice along it.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import is_number
+from .inputs import is_number, is_position
 from .mapgen import GridMap
 from .pathing import ACTION_DELTAS, IDLE, greedy_step
 
@@ -131,14 +131,17 @@ def resolve(
 ) -> ResolutionOutcome:
     """Produce a legal joint action from intended actions and SVOs. A
     ValueError names the first bad input, in this order: a position that is no
-    free cell of the map, an intent that is no action 0-4, two agents on one
-    cell, an SVO angle that is no finite number in [0, 45] (a bool is none)."""
+    (row, col) tuple of integers or no free cell of the map, an intent that is
+    no action 0-4, two agents on one cell, an SVO angle that is no finite
+    number in [0, 45]. A bool is neither an integer nor a number here."""
     n = len(positions)
     intents = np.asarray(intents)
     svo = svo_degrees.tolist() if isinstance(svo_degrees, np.ndarray) else svo_degrees
     if intents.shape != (n,) or not isinstance(svo, (list, tuple)) or len(svo) != n:
         raise ValueError("intents and svo_degrees must both have one entry per agent")
     for i, p in enumerate(positions):
+        if not is_position(p):
+            raise ValueError(f"positions[{i}]: {p!r} is not a (row, col) tuple of two integers")
         if not grid.is_free(*p):
             raise ValueError(f"positions[{i}]: {list(p)} is not a free cell of the "
                              f"{grid.height}x{grid.width} map")

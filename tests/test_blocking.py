@@ -20,13 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svo_mapf import harness, mapgen, pathing
-from svo_mapf.gridworld import EnvConfig, Gridworld, _blocks_agent, _dominator_chain, detect_blocking
+from svo_mapf.gridworld import EnvConfig, Gridworld, _chokes, _dominator_chain, detect_blocking
 from svo_mapf.mapgen import _cut_vertices, _separates
 from svo_mapf.pathing import UNREACHABLE, _bfs, distance_field
 from svo_mapf.rng import SplitMix64, derive_seed
 
 THRESHOLDS = (0, 1, 3, 10, 30)
 FUZZ = settings(deadline=None, derandomize=True, max_examples=300)
+
+
+def blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
+    """detect_blocking's verdict for one pair: the blocker on start's chain, and choking it."""
+    b = blocker_cell[0] * grid.width + blocker_cell[1]
+    return b in _dominator_chain(grid, start, goal) and _chokes(grid, b, start, goal, threshold)
 
 
 def reference_blocks_agent(grid, blocker_cell, start, goal, threshold) -> bool:
@@ -127,7 +133,7 @@ def test_fast_predicate_matches_masked_bfs(data):
             thresholds = set(THRESHOLDS) | boundary_thresholds(grid, b, start, goal)
             for t in sorted(thresholds):
                 want = reference_blocks_agent(grid, b, start, goal, t)
-                assert _blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
+                assert blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
 
 
 @pytest.mark.parametrize("family", ["random", "room", "maze", "corridor"])
@@ -149,7 +155,7 @@ def test_every_pair_on_one_map_per_family(family):
             for b in free:
                 for t in (0, 2):
                     want = reference_blocks_agent(grid, b, start, goal, t)
-                    assert _blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
+                    assert blocks_agent(grid, b, start, goal, t) == want, (b, start, goal, t)
                     blocked += want
     assert blocked > 0
 
@@ -230,9 +236,9 @@ def test_detour_boundary_is_exact():
     grid = mapgen.GridMap(obst)
     start, goal, blocker = (0, 0), (0, 4), (0, 2)
     assert reference_blocks_agent(grid, blocker, start, goal, 1)
-    assert _blocks_agent(grid, blocker, start, goal, 1)
-    assert not _blocks_agent(grid, blocker, start, goal, 2)
-    assert not _blocks_agent(grid, (1, 2), start, goal, 0)  # on no shortest path
+    assert blocks_agent(grid, blocker, start, goal, 1)
+    assert not blocks_agent(grid, blocker, start, goal, 2)
+    assert not blocks_agent(grid, (1, 2), start, goal, 0)  # on no shortest path
 
 
 def test_negative_threshold_would_split_the_predicates():
@@ -242,7 +248,7 @@ def test_negative_threshold_would_split_the_predicates():
     grid = mapgen.GridMap(np.zeros((2, 3), dtype=bool))
     assert reference_blocks_agent(grid, (0, 1), (0, 0), (1, 2), -1)
     assert not reference_blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
-    assert not _blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
+    assert not blocks_agent(grid, (0, 1), (0, 0), (1, 2), 0)
     assert (0, 1) not in dominator_chain(grid, (0, 0), (1, 2))
 
 
@@ -346,14 +352,14 @@ def test_cut_structure_is_bounded_and_built_without_recursion():
     assert len(disc) + len(last) + sum(len(cs) for cs in separated.values()) <= 3 * h * w
     assert len(separated) > 0.9 * len(grid.free_cells())
     start, goal = (128, 0), (254, 0)
-    assert _blocks_agent(grid, (200, 7), start, goal, 10)
-    assert not _blocks_agent(grid, (64, 7), start, goal, 10)  # behind the start
+    assert blocks_agent(grid, (200, 7), start, goal, 10)
+    assert not blocks_agent(grid, (64, 7), start, goal, 10)  # behind the start
 
 
 def stateless_counts(env):
-    """Agents each agent blocks, from _blocks_agent over all ordered pairs."""
+    """Agents each agent blocks, from blocks_agent over all ordered pairs."""
     t = env.config.block_threshold
-    return [sum(_blocks_agent(env.grid, env.positions[i], env.positions[j], env.goals[j], t)
+    return [sum(blocks_agent(env.grid, env.positions[i], env.positions[j], env.goals[j], t)
                 for j in range(env.n) if j != i) for i in range(env.n)]
 
 
@@ -417,7 +423,7 @@ def test_blocking_on_goal_searches_nothing_has_completed(data):
     for _ in range(8):
         start, goal, blocker = data.draw(cell), data.draw(cell), data.draw(cell)
         t = data.draw(st.sampled_from(THRESHOLDS))
-        got = _blocks_agent(grid, blocker, start, goal, t)
+        got = blocks_agent(grid, blocker, start, goal, t)
         assert got == reference_blocks_agent(oracle, blocker, start, goal, t), (blocker, start, goal, t)
 
 

@@ -4,7 +4,9 @@
 `reference_occupancy_aware_greedy` and `reference_retreat_step` are the
 previous implementations, copied verbatim (only renamed) as the oracle: each
 probes the Up/Down/Left/Right neighbours of a cell through `in_bounds` and
-numpy scalars and takes the first one exactly one step closer.
+numpy scalars and takes the first one exactly one step closer. The retreat's
+oracle finds its refuge with `reference_nearest_refuge`, the ring search the
+retreat ran before its one search, and searches back from it with `_bfs`.
 """
 
 from types import SimpleNamespace
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from svo_mapf import mapgen
 from svo_mapf.gridworld import EnvConfig, Gridworld
-from svo_mapf.harness import (HeterogeneousScriptedPolicy, _nearest_refuge, _occupancy_aware_greedy,
-                             _parked_cells)
+from svo_mapf.harness import HeterogeneousScriptedPolicy, _occupancy_aware_greedy, _parked_cells
+from svo_mapf.mapgen import GridMap, _neighbour_table
 from svo_mapf.pathing import (ACTION_DELTAS, DOWN, IDLE, LEFT, MOVE_ORDER, RIGHT, STOP, UNREACHABLE,
                               UP, NoPathError, PathFlow, _bfs, astar_path, distance_field,
                               greedy_step)
@@ -91,12 +93,29 @@ def reference_occupancy_aware_greedy(env, agent: int) -> int:
     return fallback
 
 
+def reference_nearest_refuge(grid: GridMap, start, path_cells) -> tuple[int, int] | None:
+    """Closest free cell off the given path; ties by (distance, row, col).
+
+    Searches ring by ring, entering only path cells; the flat index orders a
+    ring's cells like (row, col)."""
+    w = grid.width
+    nbrs = _neighbour_table(grid)
+    ring, seen = [start[0] * w + start[1]], set()
+    while ring:
+        off = [u for u in ring if divmod(u, w) not in path_cells]
+        if off:
+            return divmod(min(off), w)
+        seen.update(ring)
+        ring = {v for u in ring for v in nbrs[u] if v not in seen}
+    return None
+
+
 def reference_retreat_step(env, agent: int, partner_flow) -> int:
     path_cells = set(partner_flow.vertices)
     pos = env.positions[agent]
     if pos not in path_cells:
         return IDLE
-    refuge = _nearest_refuge(env.grid, pos, path_cells)
+    refuge = reference_nearest_refuge(env.grid, pos, path_cells)
     if refuge is None:
         return IDLE
     # distances from the refuge, searched only until pos is labelled: by
@@ -167,14 +186,17 @@ def test_descent_matches_the_numpy_loops(data):
             assert (_occupancy_aware_greedy(env, i, _parked_cells(env))
                     == reference_occupancy_aware_greedy(env, i))
 
-        # the retreat off a drawn partner path, which may or may not hold start
+        # the retreat off a drawn partner path, which may or may not hold
+        # start, from every cell of the map
         path = data.draw(st.lists(cell, max_size=12))
         if data.draw(st.booleans()):
             path.append(start)
         flow = SimpleNamespace(vertices=path)
         env = env_with(grid, [(start, goal)])
-        assert (HeterogeneousScriptedPolicy._retreat_step(env, 0, flow)
-                == reference_retreat_step(env, 0, flow)), (start, path)
+        for pos in free:
+            env.positions[0] = pos
+            assert (HeterogeneousScriptedPolicy._retreat_step(env, 0, flow)
+                    == reference_retreat_step(env, 0, flow)), (pos, path)
 
 
 def test_occupancy_aware_greedy_falls_back_to_a_parked_cell():

@@ -35,7 +35,7 @@ class TestStepRewards:
         env = Gridworld(scn, EnvConfig(blocking_rewards=False))
         out = env.step(np.array([IDLE]))
         assert out.rewards[0] == 0.0
-        assert env.terminated and env.success
+        assert env.terminated and env.on_goal().all()
 
     def test_goal_parking_blocking_two_agents(self):
         # agent 0 idles on its goal mid-corridor; agents 1 and 2 need to pass
@@ -154,7 +154,7 @@ class TestStepContract:
         env = Gridworld(corridor_scenario(), EnvConfig(max_episode_length=3, blocking_rewards=False))
         for _ in range(3):
             env.step(np.array([IDLE]))
-        assert env.terminated and not env.success
+        assert env.terminated and not env.on_goal().all()
 
 
 class TestBlocking:

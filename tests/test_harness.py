@@ -9,6 +9,7 @@ from svo_mapf.gridworld import EnvConfig, Gridworld
 from svo_mapf.harness import DegenerateInputError
 from svo_mapf.pathing import ACTION_DELTAS, IDLE, MOVE_ORDER, astar_path, distance_field
 from svo_mapf.rng import SplitMix64
+from test_descent import reference_nearest_refuge
 
 
 class TestPairedTTest:
@@ -161,7 +162,7 @@ class TestScriptedPolicies:
             targets.add(free[-1 - checked % 7])
             flow = astar_path(scn.grid, pos, free[-1 - checked % 7])
             path_cells = set(flow.vertices)
-            refuge = harness._nearest_refuge(scn.grid, pos, path_cells)
+            refuge = reference_nearest_refuge(scn.grid, pos, path_cells)
             want = IDLE
             if refuge is not None and pos in path_cells:
                 dist = distance_field(copy, refuge)

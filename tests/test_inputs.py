@@ -237,13 +237,16 @@ ANGLES = st.floats(-5, 50) | st.sampled_from([0.0, 45.0, math.nan, math.inf, -ma
 def resolve_calls(draw):
     """resolve's arguments: a map, and n agents on integer cells anywhere (on
     or off the map, on an obstacle or on one cell, though mostly on distinct
-    free cells), their intents in -1..5 and angles that include NaN and both
+    free cells) or now and then on a position that is no (row, col) tuple of
+    integers, their intents in -1..5 and angles that include NaN and both
     infinities, as a list or an array."""
     text = draw(st.sampled_from([MAP_3X3, MAP_4X2]))
     grid = mapgen.read_map(text)
     n = draw(st.integers(1, 6))
     free = st.permutations(grid.free_cells()).map(lambda cells: cells[:n])
-    anywhere = st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), min_size=n, max_size=n)
+    malformed = st.sampled_from([(1.5, 0), (0,), None, (0, 0, 0), [0, 0], (True, 0), (0, False)])
+    anywhere = st.lists(near(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), malformed, 3),
+                        min_size=n, max_size=n)
     positions = draw(near(free, anywhere, 2))
     def per_agent(entry):
         return st.lists(entry, min_size=n, max_size=n)
@@ -255,13 +258,16 @@ def resolve_calls(draw):
 @given(call=resolve_calls())
 @example(call=(mapgen.read_map(MAP_3X3), [(0, 0), (0, 1)], np.array([4, 3]), [math.nan, 0.0]))
 @example(call=(mapgen.read_map(MAP_3X3), [(0, 0), (0, 1)], np.array([4, 3]), np.array([0.0, math.inf])))
+@example(call=(mapgen.read_map(MAP_3X3), [(0, 0), (True, 0)], np.array([0, 0]), [0.0, 0.0]))
+@example(call=(mapgen.read_map(MAP_3X3), [None], np.array([0]), [0.0]))
 @PROPERTY
 def test_resolve_refuses_bad_input_or_returns_a_legal_joint_move(call):
     grid, positions, intents, svos = call
 
-    def free(r, c):
-        return 0 <= r < grid.height and 0 <= c < grid.width and not grid.obstacles[r, c]
-    bad = (not all(free(*p) for p in positions) or len(set(positions)) < len(positions)
+    def free(p):
+        return (type(p) is tuple and len(p) == 2 and all(type(x) is int for x in p)
+                and 0 <= p[0] < grid.height and 0 <= p[1] < grid.width and not grid.obstacles[p])
+    bad = (not all(free(p) for p in positions) or len(set(positions)) < len(positions)
            or not all(0 <= a <= 4 for a in intents) or not all(0 <= z <= 45 for z in svos))
     try:
         out = resolver.resolve(grid, positions, intents, svos)
@@ -272,7 +278,7 @@ def test_resolve_refuses_bad_input_or_returns_a_legal_joint_move(call):
     targets = [(r + ACTION_DELTAS[a][0], c + ACTION_DELTAS[a][1])
                for (r, c), a in zip(positions, out.actions.tolist())]
     assert resolver.joint_move_fault(positions, targets) is None
-    assert all(free(*cell) for cell in targets)
+    assert all(free(cell) for cell in targets)
     assert out.iterations <= 4 * len(positions)
 
 

@@ -240,6 +240,12 @@ class TestResolve:
                      "positions[1]: [5, 5] is not a free cell of the 5x5 map", id="off-map"),
         pytest.param([(4, 4), (1, 0)], IDLE, [0.0, 0.0],
                      "positions[0]: [4, 4] is not a free cell of the 5x5 map", id="on-obstacle"),
+        # a position is a (row, col) tuple of integers: a bool is none, and
+        # neither is a list, which would not hash into the cell -> agent map
+        *[pytest.param([(1, 0), bad], IDLE, [0.0, 0.0],
+                       f"positions[1]: {bad!r} is not a (row, col) tuple of two integers",
+                       id=f"position-{bad}")
+          for bad in [(1.5, 0), (0,), None, (0, 0, 0), [0, 0], (True, 0)]],
     ])
     def test_invalid_intent_is_named(self, positions, intent, svos, message):
         # every input resolve would misread is refused, naming the first fault
