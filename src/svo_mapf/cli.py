@@ -94,7 +94,7 @@ def _cmd_resolve(args) -> int:
     with open(args.state) as f:
         state = read_object(parse_json(f.read(), args.state), args.state,
                             ("map", "positions", "intents", "svos"))
-    grid = _map_from_ref(state["map"])
+    grid = _map_from_ref(state["map"], os.path.dirname(args.state) or ".")
     _check_snapshot(grid, state)
     positions = [tuple(p) for p in state["positions"]]
     outcome = resolver_resolve(grid, positions, np.array(state["intents"], dtype=np.int64),

@@ -21,7 +21,7 @@ import numpy as np
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
 from .mapgen import Scenario, _neighbour_table, family_scenario, sample_corridor
-from .pathing import IDLE, _action, _descend, _goal_entry
+from .pathing import IDLE, _action, greedy_step
 from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
 from .rng import derive_seed
@@ -59,26 +59,6 @@ def _parked_cells(env: Gridworld) -> set[int]:
     return {r * w + c for (r, c), goal in zip(env.positions, env.goals) if (r, c) == goal}
 
 
-def _occupancy_aware_greedy(env: Gridworld, agent: int, parked: set[int]) -> int:
-    """First distance-decreasing action whose target is not a parked agent.
-
-    Falls back to the plain greedy step when every descent cell is occupied by
-    an agent resting on its goal, and idles on goal or when stuck. parked
-    holds `_parked_cells(env)`, built once for every agent of a step.
-    """
-    pos, goal = env.positions[agent], env.goals[agent]
-    if pos == goal:
-        return IDLE
-    w = env.grid.width
-    u = pos[0] * w + pos[1]
-    dist, nbrs = _goal_entry(env.grid, goal, u).dist, _neighbour_table(env.grid)
-    # an agent off its goal is not parked, so the set needs no exclusion
-    v = _descend(nbrs, dist, u, parked)
-    if v < 0:
-        v = _descend(nbrs, dist, u)
-    return _action(u, v, w)
-
-
 class HeterogeneousScriptedPolicy:
     """Within each conflicted fixed-partner pair, the lower-indexed agent takes
     the prosocial role (45 degrees) and withdraws; the other stays selfish.
@@ -106,20 +86,22 @@ class HeterogeneousScriptedPolicy:
             )
             if in_conflict and i < p:
                 svo[i] = 45.0
-                intents[i] = self._retreat_step(env, i, overlap.flows[p])
+                intents[i] = self._retreat_step(env, i, overlap.visits[p])
             else:
-                intents[i] = _occupancy_aware_greedy(env, i, parked)
+                # an agent off its goal is not parked, so the set needs no exclusion
+                intents[i] = greedy_step(env.grid, env.positions[i], env.goals[i], parked)
         return intents, svo
 
     @staticmethod
-    def _retreat_step(env: Gridworld, agent: int, partner_flow) -> int:
+    def _retreat_step(env: Gridworld, agent: int, path_cells) -> int:
         """The first move toward the nearest free cell off the partner's path,
         ties by (distance, row, col); IDLE off the path or with no such cell.
-        One BFS from the agent enters only path cells (a shortest route to that
-        cell runs on them until its end) and labels each cell with its first
-        labeller's first move: FIFO order keeps a level sorted by first move,
-        and the flat index orders the level's cells like (row, col)."""
-        path_cells = set(partner_flow.vertices)
+        path_cells holds the path's (row, col) cells: the partner's visit map
+        from compute_overlap, or any set. One BFS from the agent enters only
+        path cells (a shortest route to that cell runs on them until its end)
+        and labels each cell with its first labeller's first move: FIFO order
+        keeps a level sorted by first move, and the flat index orders the
+        level's cells like (row, col)."""
         if env.positions[agent] not in path_cells:
             return IDLE
         w = env.grid.width
@@ -325,25 +307,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # term m's even and odd coefficients, each through one Lentz update
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-15:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")

@@ -200,7 +200,7 @@ def _separates(grid: GridMap, b: int, s: int, g: int) -> bool:
 
 def read_map(text: str) -> GridMap:
     """Parse benchmark map text ('.' free, '@' obstacle)."""
-    lines = text.split("\n")
+    lines = text.replace("\r\n", "\n").split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
     if len(lines) < 4:

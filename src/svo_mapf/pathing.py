@@ -9,10 +9,10 @@ it runs backward from the goal only until it reaches the cells asked about
 cost). Every distance search runs on one BFS kernel over the map's flat
 neighbour table (see mapgen); the goal's BFS also records each cell's
 immediate dominator, which blocking detection walks, and every step toward
-a goal (a path, a greedy or occupancy-aware step) is one descent helper
-over that table. Descent is deterministic, so the path from any cell on a
-planned path is that path's suffix; the overlap's step-to-step reuse (see
-social.compute_overlap) relies on this and plans no path twice along it.
+a goal (a path, or a greedy step that may avoid given cells) is one descent
+helper over that table. Descent is deterministic, so the path from any cell
+on a planned path is that path's suffix; the overlap's step-to-step reuse
+(see social.compute_overlap) relies on this and plans no path twice along it.
 """
 
 from __future__ import annotations
@@ -216,12 +216,18 @@ def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> 
     return PathFlow(vertices, directions)
 
 
-def greedy_step(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int]) -> int:
-    """First distance-decreasing action from pos; IDLE when on goal or stuck."""
+def greedy_step(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int], avoid=()) -> int:
+    """First distance-decreasing action from pos whose target is not in avoid
+    (flat cells), or the first at all when every descent cell is; IDLE when
+    on goal or stuck."""
     if not grid.is_free(*pos):
         raise ValueError(f"pos {pos} is not a free cell")
     if pos == goal:
         return IDLE
     w = grid.width
     u = pos[0] * w + pos[1]
-    return _action(u, _descend(_neighbour_table(grid), _goal_entry(grid, goal, u).dist, u), w)
+    nbrs, dist = _neighbour_table(grid), _goal_entry(grid, goal, u).dist
+    v = _descend(nbrs, dist, u, avoid)
+    if v < 0 and avoid:
+        v = _descend(nbrs, dist, u)
+    return _action(u, v, w)

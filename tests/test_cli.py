@@ -100,6 +100,22 @@ def test_resolve_snapshot(tmp_path, capsys):
     assert result["penalties"] == [-2.0, 0.0]
 
 
+def test_resolve_reads_the_map_path_beside_the_snapshot(tmp_path, capsys, monkeypatch):
+    # the snapshot names its map by a path relative to the snapshot's own
+    # directory, as a scenario does, whatever the current directory
+    snap_dir, elsewhere = tmp_path / "snap", tmp_path / "elsewhere"
+    snap_dir.mkdir()
+    elsewhere.mkdir()
+    (snap_dir / "room.map").write_text("type octile\nheight 3\nwidth 4\nmap\n....\n....\n....\n")
+    state = {"map": "room.map", "positions": [[1, 1], [1, 2]], "intents": [4, 3],
+             "svos": [45.0, 0.0]}
+    (snap_dir / "snap.json").write_text(json.dumps(state))
+    monkeypatch.chdir(elsewhere)
+    code, out = run_cli(["resolve", "--state", str(snap_dir / "snap.json")], capsys)
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["actions"] == [0, 0]
+
+
 def test_bench_byte_identical(tmp_path, capsys):
     reports = []
     for name in ("r1.json", "r2.json"):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from svo_mapf import mapgen
 from svo_mapf.gridworld import EnvConfig, Gridworld
-from svo_mapf.harness import HeterogeneousScriptedPolicy, _occupancy_aware_greedy, _parked_cells
+from svo_mapf.social import compute_overlap
+from svo_mapf.harness import HeterogeneousScriptedPolicy, _parked_cells
 from svo_mapf.mapgen import GridMap, _neighbour_table
 from svo_mapf.pathing import (ACTION_DELTAS, DOWN, IDLE, LEFT, MOVE_ORDER, RIGHT, STOP, UNREACHABLE,
                               UP, NoPathError, PathFlow, _bfs, astar_path, distance_field,
@@ -183,20 +184,24 @@ def test_descent_matches_the_numpy_loops(data):
             agents.append((mover[0], mover[-1]))
         env = env_with(grid, agents)
         for i in range(env.n):
-            assert (_occupancy_aware_greedy(env, i, _parked_cells(env))
+            assert (greedy_step(grid, env.positions[i], env.goals[i], _parked_cells(env))
                     == reference_occupancy_aware_greedy(env, i))
 
         # the retreat off a drawn partner path, which may or may not hold
-        # start, from every cell of the map
+        # start, given as a set, and off the partner's planned path, given as
+        # its visit map from compute_overlap; from every cell of the map
         path = data.draw(st.lists(cell, max_size=12))
         if data.draw(st.booleans()):
             path.append(start)
-        flow = SimpleNamespace(vertices=path)
+        partner = data.draw(cell)
+        planned = compute_overlap(grid, [partner], [goal]).visits[0]
         env = env_with(grid, [(start, goal)])
-        for pos in free:
-            env.positions[0] = pos
-            assert (HeterogeneousScriptedPolicy._retreat_step(env, 0, flow)
-                    == reference_retreat_step(env, 0, flow)), (pos, path)
+        for cells in (set(path), planned):
+            flow = SimpleNamespace(vertices=list(cells))
+            for pos in free:
+                env.positions[0] = pos
+                assert (HeterogeneousScriptedPolicy._retreat_step(env, 0, cells)
+                        == reference_retreat_step(env, 0, flow)), (pos, list(cells))
 
 
 def test_occupancy_aware_greedy_falls_back_to_a_parked_cell():
@@ -206,14 +211,14 @@ def test_occupancy_aware_greedy_falls_back_to_a_parked_cell():
     grid = mapgen.GridMap(np.zeros((2, 4), dtype=bool))
     agent = ((0, 1), (1, 3))
     env = env_with(grid, [agent, ((1, 1), (1, 1))])
-    assert (_occupancy_aware_greedy(env, 0, _parked_cells(env))
+    assert (greedy_step(grid, *agent, _parked_cells(env))
             == reference_occupancy_aware_greedy(env, 0) == RIGHT)
     env = env_with(grid, [agent, ((1, 1), (1, 1)), ((0, 2), (0, 2))])
-    assert (_occupancy_aware_greedy(env, 0, _parked_cells(env))
+    assert (greedy_step(grid, *agent, _parked_cells(env))
             == reference_occupancy_aware_greedy(env, 0) == DOWN)
     # an agent standing off its goal is not parked
     env = env_with(grid, [agent, ((1, 1), (0, 0))])
-    assert _occupancy_aware_greedy(env, 0, _parked_cells(env)) == DOWN
+    assert greedy_step(grid, *agent, _parked_cells(env)) == DOWN
 
 
 def test_every_pair_on_one_map_per_family():
@@ -235,5 +240,5 @@ def test_retreat_steps_toward_the_nearest_refuge():
     flow = SimpleNamespace(vertices=[(1, c) for c in range(6)])
     for pos, want in (((1, 0), RIGHT), ((1, 2), DOWN), ((1, 3), UP), ((1, 5), LEFT)):
         env = env_with(grid, [(pos, (1, 5 - pos[1]))])
-        assert HeterogeneousScriptedPolicy._retreat_step(env, 0, flow) == want
+        assert HeterogeneousScriptedPolicy._retreat_step(env, 0, set(flow.vertices)) == want
         assert reference_retreat_step(env, 0, flow) == want

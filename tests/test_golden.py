@@ -5,7 +5,9 @@ cannot notice a change that alters outputs. These digests were recorded from
 the code before the evaluation and training episode loops were merged into
 one; the CLI digests (gen-map, bench with its CSV, case-study, run and
 replay-adg, stdout and stderr included) were recorded before the four
-descent loops became one helper. Every later change must reproduce them.
+descent loops became one helper, and the CLI `train` digest (its stdout,
+stderr, curve.csv and checkpoint) before the two greedy steps became one.
+Every later change must reproduce them.
 Integers are hashed exactly and floats rounded to 9 decimals, so the digests
 do not depend on the BLAS build.
 """
@@ -134,6 +136,8 @@ GOLDEN_CLI = {
         "2e4bc0749139fa438903645864797071bb1878cbacc2ddaafe5932dc3ae25033",
     "replay_adg":
         "9bc67de9ffc5c06bcf7800752b59c1b3df0ce76a806f76e556a336b778852e5a",
+    "train":
+        "6e7a91cac787a832af7ad4017af06efdcf64c6e65c617a1ac0a25bdb3011c90b",
 }
 
 
@@ -168,4 +172,12 @@ def test_golden_cli_outputs(tmp_path, capsys):
         ["replay-adg", "--trace", str(tmp_path / "trace.jsonl"),
          "--speeds", str(tmp_path / "speeds.json"), "--seed", "3", "--jitter", "0.5"],
         tmp_path, capsys)
+
+    # the checkpoint is read back through canon, so that its digest does not
+    # depend on the BLAS build; curve.csv holds only rewards and counts
+    (tmp_path / "train.json").write_text(json.dumps(TRAIN_CFG))
+    stdio = cli_digest(["train", "--config", str(tmp_path / "train.json"),
+                        "--out", str(tmp_path / "train")], tmp_path, capsys, "train/curve.csv")
+    checkpoint = json.loads((tmp_path / "train" / "checkpoint.json").read_text())
+    got["train"] = digest([stdio, checkpoint])
     assert got == GOLDEN_CLI

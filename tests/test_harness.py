@@ -12,7 +12,61 @@ from svo_mapf.rng import SplitMix64
 from test_descent import reference_nearest_refuge
 
 
+def reference_betacf(a: float, b: float, x: float) -> float:
+    """`_betacf` with a copy of the modified-Lentz update for each of term m's
+    two coefficients, as it was before they shared one body; copied verbatim
+    (only renamed)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise RuntimeError("incomplete beta continued fraction did not converge")
+
+
 class TestPairedTTest:
+    def test_incomplete_beta_matches_the_two_copy_update_bit_for_bit(self, monkeypatch):
+        # the scipy oracles check p only to 1e-6; this pins every bit. a is
+        # df / 2 and b is 1 / 2 in both orders; x is uniform on (0, 1) or
+        # df / (df + t^2) for a normal t, as paired_t_test passes it
+        rng = SplitMix64(29)
+        draws = []
+        while len(draws) < 4000:
+            df = 1 + rng.randrange(120)
+            t = rng.normal()
+            x = rng.random() if len(draws) % 2 else df / (df + t * t)
+            if 0.0 < x < 1.0:
+                draws.append((df / 2.0, 0.5, x) if rng.random() < 0.5 else (0.5, df / 2.0, x))
+        got = [harness.regularized_incomplete_beta(*draw) for draw in draws]
+        monkeypatch.setattr(harness, "_betacf", reference_betacf)
+        assert [harness.regularized_incomplete_beta(*draw) for draw in draws] == got
+
     def test_hand_computed_example(self):
         # differences (1, 2, 3): mean 2, sd 1, t = 2 / (1/sqrt(3)) = 3.4641
         t, p = harness.paired_t_test([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
@@ -173,7 +227,7 @@ class TestScriptedPolicies:
                         want = action
                         break
                 checked += 1
-            assert harness.HeterogeneousScriptedPolicy._retreat_step(env, 0, flow) == want
+            assert harness.HeterogeneousScriptedPolicy._retreat_step(env, 0, path_cells) == want
         assert checked > 10
         assert set(scn.grid._goal_cache) == targets  # no refuge field was cached
 

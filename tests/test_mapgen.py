@@ -263,6 +263,16 @@ class TestMapIO:
             mapgen.read_map(text)
         assert err.value.line == 6
 
+    def test_crlf_text_reads_as_its_lf_twin(self):
+        text = mapgen.gen_room(10, 8, 2, seed=4).grid.to_text()
+        assert mapgen.read_map(text.replace("\n", "\r\n")) == mapgen.read_map(text)
+
+    def test_carriage_return_inside_a_row_is_an_unknown_glyph(self):
+        text = "type octile\r\nheight 2\r\nwidth 3\r\nmap\r\n...\r\n.\r.\r\n"
+        with pytest.raises(MapParseError, match=r"unknown glyph '\\r' at column 2") as err:
+            mapgen.read_map(text)
+        assert err.value.line == 6
+
     def test_ragged_row(self):
         text = "type octile\nheight 2\nwidth 2\nmap\n..\n...\n"
         with pytest.raises(MapParseError) as err:
