@@ -14,6 +14,7 @@ differences coordinate by coordinate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, asdict, replace
@@ -115,7 +116,6 @@ def forward(params: dict, obs: np.ndarray) -> dict:
     obs = np.atleast_2d(obs)
     hidden = np.tanh(obs @ params["w_in"] + params["b_in"])
     return {
-        "obs": obs,
         "hidden": hidden,
         "logits_act": hidden @ params["w_act"] + params["b_act"],
         "logits_svo": hidden @ params["w_svo"] + params["b_svo"],
@@ -360,66 +360,70 @@ def static_valid_mask(grid, positions) -> np.ndarray:
     return 1.0 - _obstacle_plane(grid, 1)[pos[:, :1] + _MOVE_ROWS, pos[:, 1:] + _MOVE_COLS]
 
 
-@dataclass
-class CorridorCurriculum:
-    """Scenario sampler mixing recess and I-shaped corridor instances."""
-
-    p_recess: float = 0.8
-    corridor_lengths: tuple[int, int] = (5, 12)
-    seed: int = 0
-    _count: int = field(default=0, repr=False)
-
-    def sample(self):
-        self._count += 1
-        return sample_corridor(self.p_recess, self.corridor_lengths, self.seed, self._count - 1)
-
-
-class SamplingPolicy:
-    """Rollout controller: one forward pass per step, then every agent's SVO
-    bin and then every agent's action sampled from it. The step's tensors
-    stay on the object for the rollout to record."""
+class TrainedPolicy:
+    """The network's controller, one forward pass per step. With a generator
+    it samples every agent's SVO bin and then every agent's action, and keeps
+    the step's tensors for the rollout to record; without one it takes each
+    head's argmax."""
 
     needs_social = True
 
-    def __init__(self, params: dict, svo_bins: int, rng: SplitMix64):
+    def __init__(self, params: dict, env_cfg: EnvConfig, rng: SplitMix64 | None = None):
         self.params = params
+        self.env_cfg = env_cfg
         self.rng = rng
-        self.angles = social.svo_bin_angles(svo_bins)
+        self.angles = social.svo_bin_angles(env_cfg.svo_bins)
+
+    @staticmethod
+    def from_checkpoint(path: str) -> "TrainedPolicy":
+        params, cfg = load_checkpoint(path)
+        return TrainedPolicy(params, cfg.env)
+
+    def env_config(self, base: EnvConfig) -> EnvConfig:
+        # observation geometry must match the checkpoint; episode limits and
+        # reward toggles stay with the caller
+        return replace(self.env_cfg, max_episode_length=base.max_episode_length,
+                       blocking_rewards=base.blocking_rewards)
 
     def step(self, env: Gridworld, overlap: social.OverlapResult) -> tuple[np.ndarray, np.ndarray]:
-        n = env.n
-        self.obs = np.stack([observe(env, i) for i in range(n)])
+        self.obs = np.stack([observe(env, i) for i in range(env.n)])
         self.out = forward(self.params, self.obs)
-        self.lp_act = log_softmax(self.out["logits_act"])
-        self.lp_svo = log_softmax(self.out["logits_svo"])
-        p_act = np.exp(self.lp_act)
-        self.p_svo = np.exp(self.lp_svo)
-        self.svo_bins = np.array([_sample_categorical(self.rng, p) for p in self.p_svo.tolist()],
-                                 dtype=np.int64)
-        self.actions = np.array([_sample_categorical(self.rng, p) for p in p_act.tolist()],
-                                dtype=np.int64)
-        self.valid_mask = static_valid_mask(env.grid, env.positions)
+        if self.rng is None:
+            # the raw logits: subtracting log_softmax's row constant could round two into a tie
+            self.svo_bins = np.argmax(self.out["logits_svo"], axis=1)
+            self.actions = np.argmax(self.out["logits_act"], axis=1).astype(np.int64)
+        else:
+            self.lp_act = log_softmax(self.out["logits_act"])
+            self.lp_svo = log_softmax(self.out["logits_svo"])
+            self.p_svo = np.exp(self.lp_svo)
+            self.svo_bins = np.array([_sample_categorical(self.rng, p) for p in self.p_svo.tolist()],
+                                     dtype=np.int64)
+            self.actions = np.array([_sample_categorical(self.rng, p)
+                                     for p in np.exp(self.lp_act).tolist()], dtype=np.int64)
+            self.valid_mask = static_valid_mask(env.grid, env.positions)
         env.choose_svo(self.svo_bins)
         return self.actions, self.angles[self.svo_bins]
 
 
-def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, sampler,
+def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, scenarios,
                     min_steps: int, rng: SplitMix64) -> tuple[RolloutBatch, dict]:
-    """Whole episodes until at least min_steps env steps are gathered.
+    """Whole episodes until at least min_steps (>= 1) env steps are gathered,
+    each on the scenario that next(scenarios) gives.
 
-    A SamplingPolicy drives each episode through harness.episode_steps; after
-    every step the rollout redistributes each agent's reward and records its
-    stability target. Advantages use one GAE pass per (episode, agent) per
-    reward stream; solved episodes bootstrap with 0 and step-cap truncations
-    bootstrap from the critic.
+    A TrainedPolicy sampling from rng drives each episode through
+    harness.episode_steps; after every step the rollout redistributes each
+    agent's reward and records its stability target. Advantages use one GAE
+    pass per (episode, agent) per reward stream; solved episodes bootstrap
+    with 0 and step-cap truncations bootstrap from the critic.
     """
-    policy = SamplingPolicy(params, env_cfg.svo_bins, rng)
+    if min_steps < 1:
+        raise ValueError(f"min_steps must be >= 1, got {min_steps}")
+    policy = TrainedPolicy(params, env_cfg, rng)
     episodes: list[dict] = []
     stats = {"episodes": 0, "env_steps": 0, "external_reward": 0.0, "goals": 0.0, "length": 0.0}
 
     while stats["env_steps"] < min_steps:
-        scenario, _ = sampler.sample()
-        env = Gridworld(scenario, env_cfg)
+        env = Gridworld(next(scenarios), env_cfg)
         n = env.n
         z_prev = np.full((n, env_cfg.svo_bins), 1.0 / env_cfg.svo_bins)
         ep: list[dict] = []   # one record per step, each holding per-agent values
@@ -621,7 +625,8 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
     if params is None:
         params = init_params(obs_dim, smp.hidden, cfg.env.svo_bins,
                              derive_seed(cfg.seed, 0), cfg.param_scale)
-    sampler = CorridorCurriculum(cfg.p_recess, cfg.corridor_lengths, derive_seed(cfg.seed, 1))
+    scenarios = (sample_corridor(cfg.p_recess, cfg.corridor_lengths, derive_seed(cfg.seed, 1), k)[0]
+                 for k in itertools.count())
     rollout_rng = SplitMix64(derive_seed(cfg.seed, 2))
     shuffle_rng = SplitMix64(derive_seed(cfg.seed, 3))
     flat = params_to_vector(params)
@@ -636,7 +641,7 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
     last_good = flat.copy()
     diverged_at, divergence = None, ""
     while env_steps < cfg.total_env_steps:
-        batch, stats = collect_rollout(params, smp, cfg.env, sampler,
+        batch, stats = collect_rollout(params, smp, cfg.env, scenarios,
                                        cfg.rollout_steps, rollout_rng)
         env_steps += stats["env_steps"]
         try:
@@ -675,35 +680,6 @@ def train(cfg: TrainConfig, params: dict | None = None, progress=None) -> TrainR
         if progress is not None:
             progress(row)
     return TrainResult(params, curve, diverged_at, divergence)
-
-
-class TrainedPolicy:
-    """Deterministic (argmax) controller backed by trained parameters."""
-
-    needs_social = True
-
-    def __init__(self, params: dict, env_cfg: EnvConfig):
-        self.params = params
-        self.env_cfg = env_cfg
-        self.angles = social.svo_bin_angles(env_cfg.svo_bins)
-
-    @staticmethod
-    def from_checkpoint(path: str) -> "TrainedPolicy":
-        params, cfg = load_checkpoint(path)
-        return TrainedPolicy(params, cfg.env)
-
-    def env_config(self, base: EnvConfig) -> EnvConfig:
-        # observation geometry must match the checkpoint; episode limits and
-        # reward toggles stay with the caller
-        return replace(self.env_cfg, max_episode_length=base.max_episode_length,
-                       blocking_rewards=base.blocking_rewards)
-
-    def step(self, env: Gridworld, overlap: social.OverlapResult) -> tuple[np.ndarray, np.ndarray]:
-        obs = np.stack([observe(env, i) for i in range(env.n)])
-        out = forward(self.params, obs)
-        svo_bins = np.argmax(out["logits_svo"], axis=1)
-        env.choose_svo(svo_bins)
-        return np.argmax(out["logits_act"], axis=1).astype(np.int64), self.angles[svo_bins]
 
 
 def smoke_train_config(seed: int = 0, total_env_steps: int = 200_000) -> TrainConfig:

@@ -346,6 +346,8 @@ def _place_agents(grid: GridMap, n_agents: int, rng: SplitMix64) -> tuple[list, 
 
 def gen_random(width: int, height: int, density: float, n_agents: int, seed: int) -> Scenario:
     """Random map: i.i.d. obstacle coin flips at the given density."""
+    if width < 2 or height < 2:
+        raise ValueError("random maps need width and height >= 2")
     if not 0.0 <= density <= 0.5:
         raise ValueError("density must lie in [0, 0.5]")
     rng = SplitMix64(seed)

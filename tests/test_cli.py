@@ -496,6 +496,8 @@ def _fov(ck):
      "total_env_steps must be >= 1, got -5"),
     (lambda tmp_path: ["train", "--steps", "0", "--quiet", "--out", "o"],
      "total_env_steps must be >= 1, got 0"),
+    (lambda tmp_path: ["bench", "--family", "random", "--size", "0", "--out", "r.json"],
+     "random maps need width and height >= 2"),
 ], ids=["negative-block-threshold", "height-1-map", "missing-scenario", "unknown-policy",
         "infeasible-gen-map", "infeasible-bench", "p-recess-above-1", "p-recess-below-0",
         "zero-episodes", "resolve-shared-cell", "resolve-off-map", "resolve-fractional-cell",
@@ -525,7 +527,7 @@ def _fov(ck):
         "train-overlap-cap-0", "train-svo-importance-negative", "gen-map-size-without-height",
         "gen-map-size-not-a-size", "scenario-unknown-key", "resolve-unknown-key",
         "checkpoint-unknown-key", "train-gamma-beyond-float", "train-steps-negative",
-        "train-steps-0"])
+        "train-steps-0", "bench-random-size-0"])
 def test_bad_input_is_one_error_line(make_args, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = make_args(tmp_path)

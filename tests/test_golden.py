@@ -13,6 +13,7 @@ do not depend on the BLAS build.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from svo_mapf import cli, harness
 from svo_mapf import learner as L
 from svo_mapf.gridworld import obs_length
+from svo_mapf.mapgen import sample_corridor
 from svo_mapf.rng import SplitMix64, derive_seed
 
 # the train config that test_criterion_10_cli_determinism runs through the CLI
@@ -43,6 +45,21 @@ GOLDEN = {
     "run_trained":
         "aef7863de3fe32714823ecf932268d223be6c9947cd5372d87d817052c5e0f94",
 }
+
+
+def corridor_scenarios(p_recess, corridor_lengths, seed):
+    """The scenarios train's corridor curriculum draws, in its order."""
+    return (sample_corridor(p_recess, corridor_lengths, seed, k)[0] for k in itertools.count())
+
+
+def golden_rollout():
+    """The rollout of TRAIN_CFG's initial parameters over 60 steps."""
+    cfg = L.TrainConfig.from_json(json.dumps(TRAIN_CFG))
+    params = L.init_params(obs_length(cfg.env.fov, cfg.env.svo_bins), cfg.smp.hidden,
+                           cfg.env.svo_bins, derive_seed(cfg.seed, 0), cfg.param_scale)
+    scenarios = corridor_scenarios(cfg.p_recess, cfg.corridor_lengths, derive_seed(cfg.seed, 1))
+    return L.collect_rollout(params, cfg.smp, cfg.env, scenarios, 60,
+                             SplitMix64(derive_seed(cfg.seed, 2)))
 
 
 def canon(x):
@@ -86,15 +103,11 @@ def test_golden_outputs(tmp_path, capsys):
         res = harness.corridor_case_study(0.6, 0.4, 40, name, seed=3)
         got[f"case_study_{name}"] = digest([res.per_episode_goals, res.per_kind_goals])
 
-    cfg = L.TrainConfig.from_json(json.dumps(TRAIN_CFG))
-    params = L.init_params(obs_length(cfg.env.fov, cfg.env.svo_bins), cfg.smp.hidden,
-                           cfg.env.svo_bins, derive_seed(cfg.seed, 0), cfg.param_scale)
-    sampler = L.CorridorCurriculum(cfg.p_recess, cfg.corridor_lengths, derive_seed(cfg.seed, 1))
-    batch, stats = L.collect_rollout(params, cfg.smp, cfg.env, sampler, 60,
-                                     SplitMix64(derive_seed(cfg.seed, 2)))
+    batch, stats = golden_rollout()
     got["rollout_batch"] = digest([{k: getattr(batch, k) for k in batch.__dataclass_fields__},
                                    stats])
 
+    cfg = L.TrainConfig.from_json(json.dumps(TRAIN_CFG))
     result = L.train(cfg)
     got["train"] = digest([{k: result.params[k] for k in L.PARAM_KEYS}, result.curve])
 
@@ -103,6 +116,21 @@ def test_golden_outputs(tmp_path, capsys):
     got["run_trained"] = digest(run_trace(scen, f"trained:{ckpt}", tmp_path))
     capsys.readouterr()
     assert got == GOLDEN
+
+
+def test_rollout_bytes_are_golden():
+    """The golden rollout to the last bit: each field's dtype, shape and raw
+    bytes, and the stats dict. The rollout_batch digest above rounds floats
+    to 9 places; these bytes see a reordered float operation. Like the raw
+    parameter bytes in test_learner, they hold for one numpy and BLAS build."""
+    batch, stats = golden_rollout()
+    h = hashlib.sha256()
+    for k in L.RolloutBatch.__dataclass_fields__:
+        v = getattr(batch, k)
+        h.update(f"{k}:{v.dtype.str}:{v.shape}".encode())
+        h.update(v.tobytes())
+    h.update(json.dumps(stats, sort_keys=True).encode())
+    assert h.hexdigest() == "edb81963034da24f86b8241b8bacf32d224abd472eebd069d6397b651e61dc3d"
 
 
 def cli_digest(args, tmp_path, capsys, *files):

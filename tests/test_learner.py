@@ -7,7 +7,7 @@ import pytest
 from svo_mapf import learner as L
 from svo_mapf.gridworld import EnvConfig, obs_length
 from svo_mapf.rng import SplitMix64, derive_seed
-from test_golden import TRAIN_CFG
+from test_golden import TRAIN_CFG, corridor_scenarios
 
 
 def double_sum_gae_oracle(rewards, values, gamma, lam, bootstrap=0.0):
@@ -196,8 +196,8 @@ class TestRollout:
         params = L.init_params(obs_length(5, 3), 8, 3, seed=1)
 
         def collect():
-            sampler = L.CorridorCurriculum(0.8, (5, 8), seed=4)
-            return L.collect_rollout(params, cfg, env_cfg, sampler, 30, SplitMix64(9))
+            scenarios = corridor_scenarios(0.8, (5, 8), seed=4)
+            return L.collect_rollout(params, cfg, env_cfg, scenarios, 30, SplitMix64(9))
 
         a, _ = collect()
         b, _ = collect()
@@ -209,8 +209,8 @@ class TestRollout:
         env_cfg = EnvConfig(fov=5, svo_bins=3, max_episode_length=64)
         params = L.init_params(obs_length(5, 3), 8, 3, seed=2)
         params["b_svo"][:] = np.array([50.0, -50.0, -50.0])  # force bin 0 (Z = 0)
-        sampler = L.CorridorCurriculum(0.8, (5, 8), seed=6)
-        batch, _ = L.collect_rollout(params, cfg, env_cfg, sampler, 64, SplitMix64(5))
+        scenarios = corridor_scenarios(0.8, (5, 8), seed=6)
+        batch, _ = L.collect_rollout(params, cfg, env_cfg, scenarios, 64, SplitMix64(5))
         assert (batch.svo_bins == 0).all()
         assert np.allclose(batch.reward_action, batch.reward_external, atol=1e-12)
 
@@ -220,8 +220,8 @@ class TestRollout:
         cfg = L.SmpConfig(hidden=8, normalize_advantages=False)
         env_cfg = EnvConfig(fov=5, svo_bins=3, max_episode_length=24)
         params = L.init_params(obs_length(5, 3), 8, 3, seed=3)
-        sampler = L.CorridorCurriculum(0.8, (5, 6), seed=8)
-        batch, stats = L.collect_rollout(params, cfg, env_cfg, sampler, 1, SplitMix64(7))
+        scenarios = corridor_scenarios(0.8, (5, 6), seed=8)
+        batch, stats = L.collect_rollout(params, cfg, env_cfg, scenarios, 1, SplitMix64(7))
         assert stats["episodes"] == 1
         n = 2
         T = len(batch) // n
@@ -241,6 +241,14 @@ class TestRollout:
             for t in range(T - 1):
                 delta = rewards_s[t] + cfg.gamma * values_s[t + 1] - values_s[t]
                 assert adv_s[t] == pytest.approx(delta + cfg.gamma * cfg.lam * adv_s[t + 1], abs=1e-10)
+
+    @pytest.mark.parametrize("min_steps", [0, -3])
+    def test_min_steps_below_one_is_refused(self, min_steps):
+        # no episode would be gathered, and an empty batch is not a rollout
+        params = L.init_params(obs_length(5, 3), 8, 3, seed=1)
+        with pytest.raises(ValueError, match=rf"^min_steps must be >= 1, got {min_steps}$"):
+            L.collect_rollout(params, L.SmpConfig(hidden=8), EnvConfig(fov=5, svo_bins=3),
+                              corridor_scenarios(0.8, (5, 8), seed=4), min_steps, SplitMix64(9))
 
 
 class TestTraining:

@@ -133,6 +133,11 @@ class TestRandom:
         with pytest.raises(MapGenError):
             mapgen.gen_random(4, 4, 0.5, 16, seed=0)
 
+    @pytest.mark.parametrize("width, height", [(32, 0), (0, 32), (1, 5), (-2, -2)])
+    def test_size_precondition(self, width, height):
+        with pytest.raises(ValueError, match="^random maps need width and height >= 2$"):
+            mapgen.gen_random(width, height, 0.2, 1, seed=0)
+
 
 class TestRoom:
     def test_density_window(self):
