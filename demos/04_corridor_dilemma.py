@@ -33,8 +33,8 @@ for t, pos in enumerate(result.paths[0]):
     print(f"  t={t:2d} {pos}{marker}")
 
 print("\ncase study over the 80/20 recess/I-shape mixture (300 episodes each):")
-hetero = corridor_case_study(0.8, 0.2, 300, "hetero", seed=5, env_cfg=cfg)
-homo = corridor_case_study(0.8, 0.2, 300, "homo", seed=5, env_cfg=cfg)
+hetero = corridor_case_study(0.8, 300, "hetero", seed=5, env_cfg=cfg)
+homo = corridor_case_study(0.8, 300, "homo", seed=5, env_cfg=cfg)
 print(f"  heterogeneous roles: mean goals = {hetero.mean_goals:.3f}")
 print(f"  homogeneous selfish: mean goals = {homo.mean_goals:.3f}")
 print("a policy solving only recess maps would average 0.8*2 + 0.2*1 = 1.7;")

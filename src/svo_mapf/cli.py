@@ -36,7 +36,8 @@ def _cmd_gen_map(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     map_path = os.path.join(args.out, f"{args.kind}-{args.seed}.map")
     scn_path = os.path.join(args.out, f"{args.kind}-{args.seed}.scen.json")
-    mapgen.write_map(scenario.grid, map_path)
+    with open(map_path, "w") as f:
+        f.write(scenario.grid.to_text())
     with open(scn_path, "w") as f:
         f.write(scenario.to_json(map_ref=os.path.basename(map_path)))
     print(json.dumps({"map": map_path, "scenario": scn_path,
@@ -185,8 +186,7 @@ def _cmd_ttest(args) -> int:
 
 
 def _cmd_case_study(args) -> int:
-    result = harness.corridor_case_study(args.p_recess, 1.0 - args.p_recess,
-                                         args.episodes, args.policy, args.seed)
+    result = harness.corridor_case_study(args.p_recess, args.episodes, args.policy, args.seed)
     out = {
         "mean_goals": result.mean_goals,
         "episodes": result.episodes,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import social
 from .gridworld import EnvConfig, Gridworld, StepOutcome
-from .mapgen import Scenario, _neighbour_table, family_scenario, sample_corridor
+from .mapgen import CORRIDOR_LENGTHS, Scenario, _neighbour_table, family_scenario, sample_corridor
 from .pathing import IDLE, _action, greedy_step
 from .pathing import distance_field  # noqa: F401  (unused here; perfbench tests its import site)
 from .resolver import NORMAL, ResolutionOutcome, greedy_intents, resolve
@@ -377,18 +377,15 @@ class CaseStudyResult:
         return float(np.mean(counts)) if counts else None
 
 
-def corridor_case_study(p_recess: float, p_ishape: float, episodes: int, policy_name: str,
-                        seed: int, env_cfg: EnvConfig | None = None,
-                        corridor_lengths: tuple[int, int] = (5, 12)) -> CaseStudyResult:
+def corridor_case_study(p_recess: float, episodes: int, policy_name: str, seed: int,
+                        env_cfg: EnvConfig | None = None) -> CaseStudyResult:
     """Mean goals reached over a mixture of recess and I-shaped instances.
 
-    The map kind is sampled per episode with the given probabilities and the
-    corridor length varies uniformly over the configured range.
+    Each episode's map is a recess with probability p_recess and an I-shape
+    otherwise, its corridor length uniform over mapgen.CORRIDOR_LENGTHS.
     """
-    if not (0.0 <= p_recess <= 1.0 and 0.0 <= p_ishape <= 1.0):
-        raise ValueError(f"kind probabilities must lie in [0, 1], got {p_recess} and {p_ishape}")
-    if abs(p_recess + p_ishape - 1.0) > 1e-9:
-        raise ValueError("kind probabilities must sum to 1")
+    if not 0.0 <= p_recess <= 1.0:
+        raise ValueError(f"kind probabilities must lie in [0, 1], got {p_recess} and {1.0 - p_recess}")
     if episodes < 1:
         raise ValueError(f"episodes must be at least 1, got {episodes}")
     env_cfg = env_cfg or EnvConfig(blocking_rewards=False)  # goals-only metric
@@ -396,13 +393,9 @@ def corridor_case_study(p_recess: float, p_ishape: float, episodes: int, policy_
     per_episode = []
     per_kind: dict = {"recess": [], "i_shape": []}
     for ep in range(episodes):
-        scenario, kind = sample_corridor(p_recess, corridor_lengths, seed, ep)
+        scenario, kind = sample_corridor(p_recess, CORRIDOR_LENGTHS, seed, ep)
         result = run_episode(scenario, policy, env_cfg)
         per_episode.append(result.metrics.goals_reached)
         per_kind[kind].append(result.metrics.goals_reached)
-    return CaseStudyResult(
-        mean_goals=float(np.mean(per_episode)),
-        episodes=episodes,
-        per_episode_goals=per_episode,
-        per_kind_goals=per_kind,
-    )
+    return CaseStudyResult(mean_goals=float(np.mean(per_episode)), episodes=episodes,
+                           per_episode_goals=per_episode, per_kind_goals=per_kind)

@@ -25,7 +25,7 @@ from . import social
 from .gridworld import EnvConfig, Gridworld, _obstacle_plane, obs_length, observe
 from .harness import episode_steps
 from .inputs import check_fields, parse_json, read_dataclass, read_object
-from .mapgen import sample_corridor
+from .mapgen import CORRIDOR_LENGTHS, sample_corridor
 from .pathing import ACTION_DELTAS, N_ACTIONS
 from .rng import SplitMix64, derive_seed
 
@@ -500,7 +500,7 @@ class TrainConfig:
     smp: SmpConfig = field(default_factory=SmpConfig)
     env: EnvConfig = field(default_factory=EnvConfig)
     p_recess: float = 0.8
-    corridor_lengths: tuple[int, int] = (5, 12)
+    corridor_lengths: tuple[int, int] = CORRIDOR_LENGTHS
     total_env_steps: int = 200_000
     rollout_steps: int = 1024
     seed: int = 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inputs import is_cell, is_int, parse_json, read_object
+from .inputs import is_cell, is_int, is_position, parse_json, read_object
 from .rng import SplitMix64, derive_seed
 
 FREE_GLYPH = "."
@@ -241,15 +241,6 @@ def _header_size(line: str, key: str, symbol: str, line_no: int) -> int:
     return value
 
 
-def write_map(grid: GridMap, path: str | None = None) -> str:
-    """Serialize to benchmark text; optionally write to a file."""
-    text = grid.to_text()
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
-
-
 @dataclass
 class Scenario:
     """A map plus per-agent start and goal cells."""
@@ -267,6 +258,9 @@ class Scenario:
         n = len(self.starts)
         if n < 1 or len(self.goals) != n:
             raise ValueError("need n >= 1 starts and as many goals")
+        for cell in self.starts + self.goals:
+            if not is_position(cell):
+                raise ValueError(f"cell {cell!r} is not a (row, col) tuple of two integers")
         if len(set(self.starts)) != n:
             raise ValueError("starts must be distinct")
         if len(set(self.goals)) != n:
@@ -344,15 +338,15 @@ def _place_agents(grid: GridMap, n_agents: int, rng: SplitMix64) -> tuple[list, 
     return starts, goals
 
 
-def gen_random(width: int, height: int, density: float, n_agents: int, seed: int) -> Scenario:
-    """Random map: i.i.d. obstacle coin flips at the given density."""
-    if width < 2 or height < 2:
-        raise ValueError("random maps need width and height >= 2")
-    if not 0.0 <= density <= 0.5:
-        raise ValueError("density must lie in [0, 0.5]")
+def _first_feasible(family: str, draw, n_agents: int, seed: int) -> Scenario:
+    """The first of up to RETRY_BUDGET maps drawn from one SplitMix64(seed)
+    stream that hosts n_agents: draw(rng) returns a GridMap, or None to
+    reject it, and a map whose placement fails is drawn again."""
     rng = SplitMix64(seed)
     for _ in range(RETRY_BUDGET):
-        grid = GridMap([[rng.random() < density for _ in range(width)] for _ in range(height)])
+        grid = draw(rng)
+        if grid is None:
+            continue
         try:
             starts, goals = _place_agents(grid, n_agents, rng)
         except MapGenError:
@@ -360,7 +354,19 @@ def gen_random(width: int, height: int, density: float, n_agents: int, seed: int
         scn = Scenario(grid, starts, goals, seed)
         scn.validate()
         return scn
-    raise MapGenError(f"no feasible random map after {RETRY_BUDGET} attempts")
+    raise MapGenError(f"no feasible {family} map after {RETRY_BUDGET} attempts")
+
+
+def gen_random(width: int, height: int, density: float, n_agents: int, seed: int) -> Scenario:
+    """Random map: i.i.d. obstacle coin flips at the given density, drawn
+    again (up to RETRY_BUDGET maps) while the agents cannot be placed."""
+    if width < 2 or height < 2:
+        raise ValueError("random maps need width and height >= 2")
+    if not 0.0 <= density <= 0.5:
+        raise ValueError("density must lie in [0, 0.5]")
+    return _first_feasible(
+        "random", lambda rng: GridMap([[rng.random() < density for _ in range(width)] for _ in range(height)]),
+        n_agents, seed)
 
 
 # BSP tuning: regions smaller than this area stop splitting with the given
@@ -418,23 +424,17 @@ def _bsp_obstacles(height: int, width: int, rng: SplitMix64) -> np.ndarray:
 
 
 def gen_room(width: int, height: int, n_agents: int, seed: int) -> Scenario:
-    """Room-like map: BSP partition, one single-cell doorway per shared wall."""
+    """Room-like map: BSP partition, one single-cell doorway per shared wall.
+    A layout is drawn again (up to RETRY_BUDGET maps) while the agents cannot
+    be placed, or while a 32x32 map's density lies outside [0.25, 0.35]."""
     if width < 8 or height < 8:
         raise ValueError("room maps need width and height >= 8")
-    rng = SplitMix64(seed)
-    for _ in range(RETRY_BUDGET):
-        obstacles = _bsp_obstacles(height, width, rng)
-        grid = GridMap(obstacles)
-        if (width, height) == (32, 32) and not 0.25 <= grid.density <= 0.35:
-            continue
-        try:
-            starts, goals = _place_agents(grid, n_agents, rng)
-        except MapGenError:
-            continue
-        scn = Scenario(grid, starts, goals, seed)
-        scn.validate()
-        return scn
-    raise MapGenError(f"no feasible room map after {RETRY_BUDGET} attempts")
+
+    def draw(rng: SplitMix64) -> GridMap | None:
+        grid = GridMap(_bsp_obstacles(height, width, rng))
+        return None if (width, height) == (32, 32) and not 0.25 <= grid.density <= 0.35 else grid
+
+    return _first_feasible("room", draw, n_agents, seed)
 
 
 def gen_maze(width: int, height: int, n_agents: int, seed: int) -> Scenario:
@@ -496,12 +496,10 @@ def gen_corridor(kind: str, corridor_len: int, seed: int) -> Scenario:
         raise ValueError("corridor_len must be >= 3")
     rng = SplitMix64(seed)
     if kind == "recess":
-        length = corridor_len
-        obstacles = np.ones((3, length), dtype=bool)
-        obstacles[1, :] = False
-        if length >= 4:
-            offset = rng.randint(1, max(1, (length - 2) // 2))
-            cols = (offset, length - 1 - offset)
+        obstacles = np.ones((3, corridor_len), dtype=bool)
+        if corridor_len >= 4:
+            offset = rng.randint(1, max(1, (corridor_len - 2) // 2))
+            cols = (offset, corridor_len - 1 - offset)
         else:
             cols = (1, 1)  # length 3: both recesses share the center column
         rows = (rng.choice((0, 2)), rng.choice((0, 2)))
@@ -509,22 +507,20 @@ def gen_corridor(kind: str, corridor_len: int, seed: int) -> Scenario:
             rows = (0, 2)
         for row, col in zip(rows, cols):
             obstacles[row, col] = False
-        grid = GridMap(obstacles)
-        starts = [(1, 0), (1, length - 1)]
     elif kind == "i_shape":
-        w = corridor_len + 6
-        obstacles = np.ones((3, w), dtype=bool)
-        obstacles[:, 0:3] = False
-        obstacles[:, w - 3:w] = False
-        obstacles[1, :] = False
-        grid = GridMap(obstacles)
-        starts = [(1, 0), (1, w - 1)]
+        obstacles = np.ones((3, corridor_len + 6), dtype=bool)
+        obstacles[:, :3] = obstacles[:, -3:] = False
     else:
         raise ValueError(f"unknown corridor kind {kind!r} (expected 'recess' or 'i_shape')")
-    goals = [starts[1], starts[0]]
-    scn = Scenario(grid, starts, goals, seed)
+    obstacles[1, :] = False
+    starts = [(1, 0), (1, obstacles.shape[1] - 1)]
+    scn = Scenario(GridMap(obstacles), starts, starts[::-1], seed)
     scn.validate()
     return scn
+
+
+# The inclusive range of corridor lengths that training and the case study draw.
+CORRIDOR_LENGTHS = (5, 12)
 
 
 def sample_corridor(p_recess: float, corridor_lengths: tuple[int, int], seed: int,

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import is_position
 from .mapgen import GridMap, _neighbour_table
 
 # Action indices shared across the stack; Idle must be 0 (the tie-breaking
@@ -142,6 +143,12 @@ def _goal_entry(grid: GridMap, goal: tuple[int, int], cell: int = -1) -> _GoalSe
     return entry
 
 
+def _check_position(name: str, cell) -> None:
+    """Refuse a cell that is no (row, col) tuple of two integers, as (2.0, 2)."""
+    if not is_position(cell):
+        raise ValueError(f"{name} {cell!r} is not a (row, col) tuple of two integers")
+
+
 def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
     """Exact BFS distances (in steps) from every free cell to the goal.
 
@@ -149,6 +156,7 @@ def distance_field(grid: GridMap, goal: tuple[int, int]) -> np.ndarray:
     view of the goal's completed flat distances, the same object on every
     call for the same map and goal.
     """
+    _check_position("goal", goal)
     return _goal_entry(grid, goal).field
 
 
@@ -197,6 +205,8 @@ def astar_path(grid: GridMap, start: tuple[int, int], goal: tuple[int, int]) -> 
     neighbor (Up, Down, Left, Right order) whose distance is exactly one less
     is taken, so identical inputs always yield the identical path.
     """
+    _check_position("start", start)
+    _check_position("goal", goal)
     if not grid.is_free(*start):
         raise ValueError(f"start {start} is not a free cell")
     u = start[0] * grid.width + start[1]
@@ -220,6 +230,8 @@ def greedy_step(grid: GridMap, pos: tuple[int, int], goal: tuple[int, int], avoi
     """First distance-decreasing action from pos whose target is not in avoid
     (flat cells), or the first at all when every descent cell is; IDLE when
     on goal or stuck."""
+    _check_position("pos", pos)
+    _check_position("goal", goal)
     if not grid.is_free(*pos):
         raise ValueError(f"pos {pos} is not a free cell")
     if pos == goal:

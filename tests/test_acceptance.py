@@ -168,9 +168,9 @@ def test_criterion_04_corridor_case_study():
     bounds hetero = 2.0 and homo(i-shape) < 2."""
     t0 = time.perf_counter()
     env_cfg = EnvConfig(blocking_rewards=False)
-    hetero = harness.corridor_case_study(0.8, 0.2, 1000, "hetero", seed=1001, env_cfg=env_cfg)
-    homo_recess = harness.corridor_case_study(1.0, 0.0, 200, "homo", seed=1002, env_cfg=env_cfg)
-    homo_mix = harness.corridor_case_study(0.8, 0.2, 1000, "homo", seed=1003, env_cfg=env_cfg)
+    hetero = harness.corridor_case_study(0.8, 1000, "hetero", seed=1001, env_cfg=env_cfg)
+    homo_recess = harness.corridor_case_study(1.0, 200, "homo", seed=1002, env_cfg=env_cfg)
+    homo_mix = harness.corridor_case_study(0.8, 1000, "homo", seed=1003, env_cfg=env_cfg)
     elapsed = time.perf_counter() - t0
 
     assert hetero.mean_goals == 2.0, f"hetero mixture mean {hetero.mean_goals} != 2.0"

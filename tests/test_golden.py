@@ -100,7 +100,7 @@ def test_golden_outputs(tmp_path, capsys):
     got["run_greedy"] = digest(run_trace(scen, "greedy", tmp_path))
 
     for name in ("homo", "hetero"):
-        res = harness.corridor_case_study(0.6, 0.4, 40, name, seed=3)
+        res = harness.corridor_case_study(0.6, 40, name, seed=3)
         got[f"case_study_{name}"] = digest([res.per_episode_goals, res.per_kind_goals])
 
     batch, stats = golden_rollout()

@@ -255,41 +255,39 @@ class TestScriptedPolicies:
 
 class TestCaseStudy:
     def test_hetero_exact_two(self):
-        res = harness.corridor_case_study(0.8, 0.2, 60, "hetero", seed=21,
+        res = harness.corridor_case_study(0.8, 60, "hetero", seed=21,
                                           env_cfg=EnvConfig(blocking_rewards=False))
         assert res.mean_goals == 2.0
         assert res.kind_mean("recess") == 2.0
         assert res.kind_mean("i_shape") == 2.0
 
     def test_homo_below_two_on_ishape(self):
-        res = harness.corridor_case_study(0.0, 1.0, 30, "homo", seed=22,
+        res = harness.corridor_case_study(0.0, 30, "homo", seed=22,
                                           env_cfg=EnvConfig(blocking_rewards=False))
         assert res.kind_mean("i_shape") < 2.0
 
-    def test_mixture_probabilities_validated(self):
-        with pytest.raises(ValueError):
-            harness.corridor_case_study(0.8, 0.3, 10, "homo", seed=0)
+    # each id names p_recess, the I-shape probability 1 - p_recess, and the episodes
+    out_of_range = [(1.5, 10), (-0.2, 10), (float("nan"), 10), (0.5, 0)]
 
-    @pytest.mark.parametrize("p_recess, p_ishape, episodes", [
-        (1.5, -0.5, 10), (-0.2, 1.2, 10), (float("nan"), 0.5, 10), (0.5, 0.5, 0)])
-    def test_out_of_range_arguments_rejected(self, p_recess, p_ishape, episodes):
+    @pytest.mark.parametrize("p_recess, episodes", out_of_range, ids=[f"{p}-{1 - p}-{n}" for p, n in out_of_range])
+    def test_out_of_range_arguments_rejected(self, p_recess, episodes):
         with pytest.raises(ValueError):
-            harness.corridor_case_study(p_recess, p_ishape, episodes, "homo", seed=0)
+            harness.corridor_case_study(p_recess, episodes, "homo", seed=0)
 
     def test_kind_without_episodes_has_no_mean(self):
-        res = harness.corridor_case_study(1.0, 0.0, 3, "hetero", seed=0)
+        res = harness.corridor_case_study(1.0, 3, "hetero", seed=0)
         assert res.kind_mean("recess") == 2.0 and res.kind_mean("i_shape") is None
 
     def test_kind_mix_follows_probability(self):
-        res = harness.corridor_case_study(0.8, 0.2, 200, "hetero", seed=23,
+        res = harness.corridor_case_study(0.8, 200, "hetero", seed=23,
                                           env_cfg=EnvConfig(blocking_rewards=False))
         frac = len(res.per_kind_goals["recess"]) / res.episodes
         assert 0.7 < frac < 0.9
 
     def test_deterministic(self):
-        a = harness.corridor_case_study(0.5, 0.5, 20, "hetero", seed=24,
+        a = harness.corridor_case_study(0.5, 20, "hetero", seed=24,
                                         env_cfg=EnvConfig(blocking_rewards=False))
-        b = harness.corridor_case_study(0.5, 0.5, 20, "hetero", seed=24,
+        b = harness.corridor_case_study(0.5, 20, "hetero", seed=24,
                                         env_cfg=EnvConfig(blocking_rewards=False))
         assert a.per_episode_goals == b.per_episode_goals
 

@@ -192,6 +192,26 @@ def test_greedy_step_rejects_a_cell_that_is_not_free():
     assert pathing.greedy_step(grid, (1, 0), (0, 2)) == pathing.RIGHT
 
 
+@pytest.mark.parametrize("call, name, cell", [
+    (lambda g, cell: pathing.astar_path(g, (0, 0), cell), "goal", (True, 2)),
+    (lambda g, cell: pathing.astar_path(g, cell, (2, 2)), "start", (1.5, 0)),
+    (lambda g, cell: pathing.greedy_step(g, cell, (2, 2)), "pos", (True, 0)),
+    (lambda g, cell: pathing.greedy_step(g, (0, 0), cell), "goal", [2, 2]),
+    (lambda g, cell: pathing.distance_field(g, cell), "goal", (1.0, 1)),
+    (lambda g, cell: pathing.distance_field(g, cell), "goal", [1, 1]),
+    (lambda g, cell: pathing.distance_field(g, cell), "goal", (2.0, 2)),
+])
+def test_a_cell_argument_must_be_a_tuple_of_two_integers(call, name, cell):
+    # (True, 2) once planned to (1, 2), (True, 0) stepped as if from (1, 0),
+    # floats and lists raised TypeError, and (2.0, 2) passed once (2, 2) was
+    # in the goal cache, as equal tuples hash alike
+    grid = mapgen.GridMap(np.zeros((3, 3), dtype=bool))
+    pathing.distance_field(grid, (2, 2))
+    with pytest.raises(ValueError, match=re.escape(f"{name} {cell!r} is not a (row, col) tuple of two integers")):
+        call(grid, cell)
+    assert pathing.greedy_step(grid, (np.int64(0), 2), (2, 2)) == pathing.DOWN
+
+
 def reference_goal_bfs(grid, goal):
     """The goal's one-shot BFS with dominators as the library ran it before
     goal searches were resumed, copied from its `_bfs` and `_goal_entry` (the
