@@ -40,16 +40,18 @@ class MapParseError(ValueError):
 class GridMap:
     """Static occupancy grid. Cells are (row, col); True means obstacle.
 
-    Moves off the edge are invalid (no wall ring is stored). Instances are
-    treated as immutable after construction; the map's graph (the neighbour
-    table and one depth-first search giving cut vertices and components, see
-    below), each goal's resumable search with its distances and dominators
-    (see pathing) and the padded obstacle planes that observations slice (see
-    gridworld) are cached on the instance.
+    Moves off the edge are invalid (no wall ring is stored). The map keeps its
+    own read-only copy of the obstacle array, so a later write to the input
+    reaches neither it nor the caches. Instances are treated as immutable
+    after construction; the map's graph (the neighbour table and one
+    depth-first search giving cut vertices and components, see below), each
+    goal's resumable search with its distances and dominators (see pathing)
+    and the padded obstacle planes that observations slice (see gridworld)
+    are cached on the instance.
     """
 
     def __init__(self, obstacles: np.ndarray):
-        obstacles = np.asarray(obstacles, dtype=bool)
+        obstacles = np.array(obstacles, dtype=bool)
         if obstacles.ndim != 2:
             raise ValueError("obstacle grid must be 2-D")
         h, w = obstacles.shape

@@ -251,6 +251,18 @@ class TestCorridor:
 
 
 class TestMapIO:
+    def test_grid_map_leaves_the_callers_array_writable(self):
+        a = np.zeros((3, 3), dtype=bool)
+        mapgen.GridMap(a)
+        a[1, 1] = True
+        assert a[1, 1]
+
+    def test_grid_map_does_not_see_a_later_write_to_its_input(self):
+        base = np.zeros((3, 3), dtype=bool)
+        grid = mapgen.GridMap(base[:, :])
+        base[1, 1] = True
+        assert not grid.obstacles[1, 1] and grid.is_free(1, 1)
+
     def test_smallest_map(self):
         grid = mapgen.GridMap(np.zeros((2, 2), dtype=bool))
         assert grid.to_text() == "type octile\nheight 2\nwidth 2\nmap\n..\n..\n"
