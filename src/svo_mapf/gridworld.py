@@ -55,9 +55,12 @@ class EnvConfig:
             raise ValueError(f"fov must be a positive odd integer, got {self.fov!r}")
         check_fields(self)
         # A negative threshold would count a cell on only some shortest paths
-        # as blocking: no detour is shorter than the shortest path.
-        if self.block_threshold < 0:
-            raise ValueError(f"block_threshold must be >= 0, got {self.block_threshold}")
+        # as blocking: no detour is shorter than the shortest path. A negative
+        # heuristic window draws a blank descent plane, so a sign error would
+        # train silently on nothing.
+        for name in ("block_threshold", "fov_heuristic"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         # social.svo_bin_angles spreads the bins over [0, 45] degrees: two at least.
         if self.svo_bins < 2:
             raise ValueError(f"svo_bins must be >= 2, got {self.svo_bins}")
@@ -251,52 +254,52 @@ def _obstacle_plane(grid, pad: int) -> np.ndarray:
     return plane
 
 
-def observe(env: Gridworld, agent: int) -> np.ndarray:
-    """Fixed-length observation vector for one agent.
+def observe(env: Gridworld) -> np.ndarray:
+    """The team's observations: row i is agent i's fixed-length vector.
 
     FoV-centered occupancy, other-agent, and goal-descent planes (the descent
     plane marks cells inside the heuristic window that are strictly closer to
     the goal than the agent), a 4-slot goal vector (unit direction, clamped
     Euclidean magnitude, clamped BFS distance), the standing SVO of the agent
     and of its partner (each one's last chosen bin), and the partner offset
-    clamped to the FoV. Out-of-map cells read as obstacles.
+    clamped to the FoV. Out-of-map cells read as obstacles. The other-agent
+    planes are windows of one padded plane that marks the whole team.
     """
     cfg = env.config
     fov = cfg.fov
     half = fov // 2
-    r0, c0 = env.positions[agent]
-    dist = distance_field(env.grid, env.goals[agent])
-    d0 = int(dist[r0, c0])
-
-    gr, gc = env.goals[agent]
-    dr, dc = gr - r0, gc - c0
-    mag = float(np.hypot(dr, dc))
+    planes = 3 * fov * fov
+    obstacles = _obstacle_plane(env.grid, half)
+    crowd = np.zeros_like(obstacles)
+    for r, c in env.positions:
+        crowd[r + half, c + half] = 1.0
     clamp = float(max(env.grid.height, env.grid.width))
-    if mag > 0:
-        goal_vec = [dr / mag, dc / mag, min(mag, clamp) / clamp,
-                    (min(d0, clamp) / clamp) if d0 != UNREACHABLE else 1.0]
-    else:
-        goal_vec = [0.0, 0.0, 0.0, 0.0]
-
-    partner = int(env.partners[agent])
-    pr, pc = env.positions[partner]
-    off = [max(-half, min(half, pr - r0)) / max(1, half),
-           max(-half, min(half, pc - c0)) / max(1, half)]
-    tail = goal_vec + env.svo[agent].tolist() + env.svo[partner].tolist() + off
-
-    obs = np.zeros(3 * fov * fov + len(tail))
-    obs[3 * fov * fov:] = tail
-    occupancy, others, heuristic = obs[:3 * fov * fov].reshape(3, fov, fov)
-    occupancy[:] = _obstacle_plane(env.grid, half)[r0:r0 + fov, c0:c0 + fov]
-    for j, (r, c) in enumerate(env.positions):
-        if j != agent and abs(r - r0) <= half and abs(c - c0) <= half:
-            others[r - r0 + half, c - c0 + half] = 1.0
-    # the descent window: free cells (obstacles hold UNREACHABLE) within
-    # fov_heuristic // 2 of the agent and strictly closer to the goal
     h_half = min(cfg.fov_heuristic // 2, half)
-    if h_half > 0 and d0 != UNREACHABLE:
-        top, left = max(r0 - h_half, 0), max(c0 - h_half, 0)
-        window = dist[top:r0 + h_half + 1, left:c0 + h_half + 1]
-        row, col = top - r0 + half, left - c0 + half
-        heuristic[row:row + window.shape[0], col:col + window.shape[1]] = (window >= 0) & (window < d0)
+    svo = env.svo.tolist()
+    obs = np.zeros((env.n, obs_length(fov, cfg.svo_bins)))
+    for i, ((r0, c0), goal, partner) in enumerate(zip(env.positions, env.goals, env.partners.tolist())):
+        dist = distance_field(env.grid, goal)
+        d0 = int(dist[r0, c0])
+        dr, dc = goal[0] - r0, goal[1] - c0
+        mag = float(np.hypot(dr, dc))
+        if mag > 0:
+            goal_vec = [dr / mag, dc / mag, min(mag, clamp) / clamp,
+                        (min(d0, clamp) / clamp) if d0 != UNREACHABLE else 1.0]
+        else:
+            goal_vec = [0.0, 0.0, 0.0, 0.0]
+        pr, pc = env.positions[partner]
+        off = [max(-half, min(half, pr - r0)) / max(1, half),
+               max(-half, min(half, pc - c0)) / max(1, half)]
+        obs[i, planes:] = goal_vec + svo[i] + svo[partner] + off
+        occupancy, others, heuristic = obs[i, :planes].reshape(3, fov, fov)
+        occupancy[:] = obstacles[r0:r0 + fov, c0:c0 + fov]
+        others[:] = crowd[r0:r0 + fov, c0:c0 + fov]
+        others[half, half] = 0.0
+        # the descent window: free cells (obstacles hold UNREACHABLE) within
+        # fov_heuristic // 2 of the agent and strictly closer to the goal
+        if h_half > 0 and d0 != UNREACHABLE:
+            top, left = max(r0 - h_half, 0), max(c0 - h_half, 0)
+            window = dist[top:r0 + h_half + 1, left:c0 + h_half + 1]
+            row, col = top - r0 + half, left - c0 + half
+            heuristic[row:row + window.shape[0], col:col + window.shape[1]] = (window >= 0) & (window < d0)
     return obs

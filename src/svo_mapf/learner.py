@@ -66,6 +66,11 @@ class SmpConfig:
             raise ValueError("gamma in (0,1], lam in [0,1]")
         if self.clip_eps <= 0:
             raise ValueError("clip_eps must be positive")
+        # a negative rate climbs the loss; a momentum of 1 never forgets a step
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("epochs", "minibatch", "hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -130,16 +135,18 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
-def gae_advantages(rewards, values, gamma: float, lam: float, bootstrap: float = 0.0) -> np.ndarray:
+def gae_advantages(rewards, values, gamma: float, lam: float, bootstrap=0.0) -> np.ndarray:
     """Generalized advantage estimates over one contiguous segment.
 
     delta_t = r_t + gamma * V_{t+1} - V_t with V_T = bootstrap;
-    A_t = sum_k (gamma * lam)^k delta_{t+k}.
+    A_t = sum_k (gamma * lam)^k delta_{t+k}. Rewards and values may be (T, n):
+    each column is then its own segment, bit for bit as a (T,) call on it,
+    bootstrapped from a scalar or from its entry of an (n,) bootstrap.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if rewards.shape != values.shape:
-        raise ValueError("rewards and values must have equal length")
+        raise ValueError("rewards and values must have equal shapes")
     adv = np.zeros_like(rewards)
     running = 0.0
     next_value = bootstrap
@@ -386,7 +393,7 @@ class TrainedPolicy:
                        blocking_rewards=base.blocking_rewards)
 
     def step(self, env: Gridworld, overlap: social.OverlapResult) -> tuple[np.ndarray, np.ndarray]:
-        self.obs = np.stack([observe(env, i) for i in range(env.n)])
+        self.obs = observe(env)
         self.out = forward(self.params, self.obs)
         if self.rng is None:
             # the raw logits: subtracting log_softmax's row constant could round two into a tie
@@ -413,7 +420,7 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, scenarios,
     A TrainedPolicy sampling from rng drives each episode through
     harness.episode_steps; after every step the rollout redistributes each
     agent's reward and records its stability target. Advantages use one GAE
-    pass per (episode, agent) per reward stream; solved episodes bootstrap
+    pass per episode per reward stream; solved episodes bootstrap
     with 0 and step-cap truncations bootstrap from the critic.
     """
     if min_steps < 1:
@@ -455,9 +462,9 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, scenarios,
         # final state instead of pretending the episode ended well.
         T = env.t
         if env.on_goal().all():
-            boot = {"action": np.zeros(n), "svo": np.zeros(n)}
+            boot = {"action": 0.0, "svo": 0.0}
         else:
-            final_out = forward(params, np.stack([observe(env, i) for i in range(n)]))
+            final_out = forward(params, observe(env))
             boot = {"action": final_out["value_act"], "svo": final_out["value_svo"]}
         arr = {k: np.array([record[k] for record in ep]) for k in ep[0]}   # (T, n, ...)
         arr["reward_svo"], arr["reward_action"] = arr.pop("split").transpose(2, 0, 1)
@@ -466,9 +473,7 @@ def collect_rollout(params: dict, cfg: SmpConfig, env_cfg: EnvConfig, scenarios,
         arr["blocking_label"] = (arr.pop("blocked") > 0).astype(np.float64)
         for stream in ("action", "svo"):
             values = arr.pop(f"value_{stream}")
-            adv = np.stack([gae_advantages(arr[f"reward_{stream}"][:, i], values[:, i],
-                                           cfg.gamma, cfg.lam, float(boot[stream][i]))
-                            for i in range(n)], axis=1)
+            adv = gae_advantages(arr[f"reward_{stream}"], values, cfg.gamma, cfg.lam, boot[stream])
             arr[f"adv_{stream}"] = adv
             arr[f"ret_{stream}"] = adv + values
         episodes.append({k: v.reshape(T * n, *v.shape[2:]) for k, v in arr.items()})

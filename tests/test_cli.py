@@ -484,6 +484,9 @@ def _fov(ck):
     (_train_config({"env": {"overlap_decay": 0}}), "overlap_decay must lie in (0, 1], got 0"),
     (_train_config({"env": {"overlap_cap": 0.0}}), "overlap_cap must be > 0, got 0.0"),
     (_train_config({"env": {"svo_importance": -2}}), "svo_importance must be > 0, got -2"),
+    (_train_config({"env": {"fov_heuristic": -3}}), "fov_heuristic must be >= 0, got -3"),
+    (_train_config({"smp": {"learning_rate": -1.0}}), "learning_rate must be >= 0, got -1.0"),
+    (_train_config({"smp": {"momentum": 1.5}}), "momentum must lie in [0, 1), got 1.5"),
     (lambda tmp_path: ["gen-map", "--kind", "room", "--size", "4x", "--out", "m"],
      "--size: need WxH, two integers, got '4x'"),
     (lambda tmp_path: ["gen-map", "--kind", "maze", "--size", "abc", "--out", "m"],
@@ -524,7 +527,8 @@ def _fov(ck):
         "train-epochs-negative", "train-hidden-0", "train-rollout-steps-0",
         "train-corridor-lengths-reversed", "train-corridor-lengths-too-short",
         "train-p-recess-above-1", "train-one-svo-bin", "train-overlap-decay-0",
-        "train-overlap-cap-0", "train-svo-importance-negative", "gen-map-size-without-height",
+        "train-overlap-cap-0", "train-svo-importance-negative",
+        "train-fov-heuristic-negative", "train-learning-rate-negative", "train-momentum-1.5", "gen-map-size-without-height",
         "gen-map-size-not-a-size", "scenario-unknown-key", "resolve-unknown-key",
         "checkpoint-unknown-key", "train-gamma-beyond-float", "train-steps-negative",
         "train-steps-0", "bench-random-size-0"])

@@ -202,6 +202,15 @@ class TestBlocking:
             TrainConfig.from_json('{"env": {"block_threshold": -3}}')
         assert EnvConfig(block_threshold=0).block_threshold == 0
 
+    def test_negative_heuristic_window_rejected(self):
+        # a negative window draws a blank descent plane, so a config file's
+        # sign error would train silently on nothing
+        with pytest.raises(ValueError, match="^fov_heuristic must be >= 0, got -3$"):
+            EnvConfig(fov_heuristic=-3)
+        with pytest.raises(ValueError, match="^fov_heuristic must be >= 0, got -3$"):
+            TrainConfig.from_json('{"env": {"fov_heuristic": -3}}')
+        assert EnvConfig(fov_heuristic=0).fov_heuristic == 0
+
     @pytest.mark.parametrize("fov", [0, -3, 4, 8, 5.0, "5", True, None])
     def test_fov_must_be_a_positive_odd_integer(self, fov):
         # the field of view is centred on the agent: even or empty ones have
@@ -218,7 +227,7 @@ class TestObserve:
     def test_on_goal_zero_goal_vector(self):
         scn = corridor_scenario(starts=[(1, 3)], goals=[(1, 3)])
         env = Gridworld(scn, EnvConfig(fov=5, svo_bins=3))
-        obs = observe(env, 0)
+        obs = observe(env)[0]
         base = 3 * 25
         assert np.allclose(obs[base:base + 4], 0.0)
 
@@ -226,7 +235,7 @@ class TestObserve:
         scn = mapgen.gen_random(6, 6, 0.0, 1, seed=2)
         scn.starts[0] = (0, 0)
         env = Gridworld(scn, EnvConfig(fov=5, svo_bins=3))
-        obs = observe(env, 0)
+        obs = observe(env)[0]
         occupancy = obs[:25].reshape(5, 5)
         assert occupancy[0].all() and occupancy[:, 0].all()  # beyond the corner
         assert occupancy[2, 2] == 0.0
@@ -235,13 +244,13 @@ class TestObserve:
         for fov, bins in ((5, 3), (9, 5), (7, 4)):
             scn = mapgen.gen_random(12, 12, 0.1, 2, seed=3)
             env = Gridworld(scn, EnvConfig(fov=fov, svo_bins=bins))
-            assert observe(env, 0).shape == (obs_length(fov, bins),)
+            assert observe(env).shape == (scn.n_agents, obs_length(fov, bins))
             assert obs_length(fov, bins) == 3 * fov * fov + 4 + 2 * bins + 2
 
     def test_heuristic_plane_marks_descent_cells(self):
         scn = corridor_scenario(length=9, starts=[(1, 4)], goals=[(1, 8)])
         env = Gridworld(scn, EnvConfig(fov=5, fov_heuristic=3, svo_bins=3))
-        heuristic = observe(env, 0)[50:75].reshape(5, 5)
+        heuristic = observe(env)[0][50:75].reshape(5, 5)
         assert heuristic[2, 3] == 1.0  # toward the goal, inside the window
         assert heuristic[2, 1] == 0.0  # away from the goal
         assert heuristic[2, 4] == 0.0  # outside the 3x3 heuristic window
@@ -250,7 +259,7 @@ class TestObserve:
         scn = corridor_scenario(length=9, starts=[(1, 0), (1, 8)], goals=[(1, 8), (1, 0)])
         env = Gridworld(scn, EnvConfig(fov=5, svo_bins=3))
         env.partners = np.array([1, 0])
-        obs = observe(env, 0)
+        obs = observe(env)[0]
         assert obs[-2] == 0.0 and obs[-1] == 1.0  # clamped to +half_fov
 
 

@@ -162,8 +162,10 @@ def test_scenario_from_json_raises_only_value_and_os_errors(obj, tmp_path_factor
 
 SMP_FIELDS = {"hidden": st.integers(-1, 9), "epochs": st.integers(-1, 3), "minibatch": st.integers(-1, 9),
               "gamma": st.floats(-0.5, 1.5), "clip_eps": st.floats(-0.1, 0.5),
+              "learning_rate": st.floats(-1, 1), "momentum": st.floats(-0.5, 1.5),
               "normalize_advantages": st.booleans()}
-ENV_FIELDS = {"fov": st.integers(-1, 9), "svo_bins": st.integers(-1, 6), "overlap_decay": st.floats(-0.5, 1.5),
+ENV_FIELDS = {"fov": st.integers(-1, 9), "fov_heuristic": st.integers(-3, 11),
+              "svo_bins": st.integers(-1, 6), "overlap_decay": st.floats(-0.5, 1.5),
               "overlap_cap": st.floats(-1, 2), "block_threshold": st.integers(-2, 12),
               "max_episode_length": st.integers(-1, 64), "blocking_rewards": st.booleans()}
 TRAIN_FIELDS = {"p_recess": st.floats(-0.5, 1.5), "corridor_lengths": st.lists(st.integers(0, 14), max_size=3),
@@ -186,6 +188,7 @@ def test_train_config_from_json_raises_only_value_errors(obj):
         return
     assert 3 <= cfg.corridor_lengths[0] <= cfg.corridor_lengths[1]
     assert cfg.smp.minibatch >= 1 and cfg.env.svo_bins >= 2
+    assert cfg.env.fov_heuristic >= 0 and cfg.smp.learning_rate >= 0 and 0 <= cfg.smp.momentum < 1
     assert learner.TrainConfig.from_json(cfg.to_json()) == cfg
 
 

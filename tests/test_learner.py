@@ -43,6 +43,17 @@ class TestGae:
             oracle = double_sum_gae_oracle(rewards, values, 0.95, 0.95)
             assert np.allclose(adv, oracle, atol=1e-12, rtol=0)
 
+    def test_columns_are_independent_segments(self):
+        # a (T, n) call, bootstrapped per column, is n (T,) calls byte for byte
+        rng = np.random.default_rng(5)
+        rewards, values, boot = rng.normal(size=(7, 3)), rng.normal(size=(7, 3)), rng.normal(size=3)
+        adv = L.gae_advantages(rewards, values, 0.95, 0.9, boot)
+        for i in range(3):
+            column = L.gae_advantages(rewards[:, i], values[:, i], 0.95, 0.9, float(boot[i]))
+            assert adv[:, i].tobytes() == column.tobytes()
+        assert L.gae_advantages(rewards, values, 0.95, 0.9).tobytes() == np.stack(
+            [L.gae_advantages(rewards[:, i], values[:, i], 0.95, 0.9) for i in range(3)], axis=1).tobytes()
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             L.gae_advantages([1.0, 2.0], [0.0], gamma=0.9, lam=0.9)
